@@ -89,11 +89,11 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
 
     Mandatory discipline: the sstamp is snapshotted into a local before any
     branching, because the owner may finalize it at any moment.  A tid whose
-    context is gone means the owner concluded, so the field is about to hold
-    (or already holds) its final content and we simply re-read.
+    context is gone means the owner concluded, and an aborted owner is
+    undoing its claim; either way the field is about to hold (or already
+    holds) other content, which we wait for and re-read.
     """
     my_cstamp = ctx.cstamp.load()
-    rereads = 0
     while True:
         word = version.sstamp.load()
         if word == INFINITY:
@@ -103,26 +103,22 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
         if word_value(word) == ctx.tid:
             return "own", None
         peer = table.get(word_value(word))
-        if peer is None:
-            # Owner concluded; the field settles on re-read.
-            rereads += 1
-            assert rereads < 1_000_000, "overwriter resolution failed to settle"
-            continue
-        if peer.status.load() == Status.INFLIGHT:
-            return "pending", peer
-        # A peer that aborted before drawing a stamp never fills cstamp in.
-        spin_until(lambda: peer.cstamp.load() != 0
-                   or peer.status.load() == Status.ABORTED,
-                   "peer %d commit stamp" % peer.tid)
-        if peer.cstamp.load() == 0:
-            continue  # aborted pre-stamp; its sstamp claim is being undone
-        if my_cstamp and peer.cstamp.load() >= my_cstamp:
-            return "pending", peer
-        spin_until(lambda: peer.status.load() != Status.COMMITTING,
-                   "peer %d pre-commit" % peer.tid)
-        if peer.status.load() == Status.COMMITTED:
-            return "committed", peer
-        # Aborted: its claim on the sstamp is being rolled back; re-read.
+        if peer is not None:
+            if peer.status.load() == Status.INFLIGHT:
+                return "pending", peer
+            # A peer that aborted before drawing a stamp never fills cstamp in.
+            spin_until(lambda: peer.cstamp.load() != 0
+                       or peer.status.load() == Status.ABORTED,
+                       "peer %d commit stamp" % peer.tid)
+            if peer.cstamp.load() != 0:
+                if my_cstamp and peer.cstamp.load() >= my_cstamp:
+                    return "pending", peer
+                spin_until(lambda: peer.status.load() != Status.COMMITTING,
+                           "peer %d pre-commit" % peer.tid)
+                if peer.status.load() == Status.COMMITTED:
+                    return "committed", peer
+        spin_until(lambda: version.sstamp.load() != word,
+                   "overwriter %d to conclude" % word_value(word))
 
 
 class ExclusionCertifier:
@@ -297,10 +293,11 @@ class ExclusionCertifier:
         Walks the readers bitmap of each overwritten predecessor.  Readers
         holding an earlier commit stamp are waited out and folded; the
         per-slot last commit stamp covers untracked readers that already
-        left; in-flight read-mostly readers get this updater's stamp pushed
-        into their sstamp (the handshake), unless they sealed first, which
-        aborts the updater.  Re-reading the predecessor's access stamp at the
-        end catches any reader the bitmap walk missed.
+        left; in-flight read-mostly readers get this updater's successor
+        watermark pushed into their sstamp (the handshake), unless they
+        sealed first, which aborts the updater.  Re-reading the predecessor's
+        access stamp at the end catches any reader the bitmap walk missed.
+        The caller has already folded every read into that watermark.
         """
         my_cstamp = ctx.cstamp.load()
         handshake_failed = False
@@ -334,26 +331,31 @@ class ExclusionCertifier:
                         if reader.status.load() == Status.COMMITTED:
                             pstamp = max(pstamp, reader_cstamp)
                 if reader.read_mostly and not settled:
-                    if not self._handshake(reader, my_cstamp):
+                    if not self._handshake(reader,
+                                           word_value(ctx.sstamp.load())):
                         handshake_failed = True
             pstamp = max(pstamp, prev.pstamp.load())
         return pstamp, handshake_failed
 
     @staticmethod
-    def _handshake(reader: TransactionContext, cstamp: int) -> bool:
-        """Push cstamp into an unsealed read-mostly reader's sstamp.
+    def _handshake(reader: TransactionContext, sstamp: int) -> bool:
+        """Push an updater's successor watermark into a reader's sstamp.
 
-        Success means the reader will test its window with the lowered value.
-        A sealed sstamp (lock bit set) can no longer be influenced; the
-        updater must abort instead.
+        The reader is read-mostly and read a version the updater overwrites,
+        so the updater is its successor and the reader's watermark must fall
+        to the updater's, not merely to its commit stamp: the updater's own
+        successors are the reader's transitive successors too.  Success means
+        the reader will test its window with the lowered value.  A sealed
+        sstamp (lock bit set) can no longer be influenced; the updater must
+        abort instead.
         """
         while True:
             word = reader.sstamp.load()
-            if word_value(word) <= cstamp:
+            if word_value(word) <= sstamp:
                 return True
             if is_locked(word):
                 return False
-            if reader.sstamp.compare_and_swap(word, cstamp):
+            if reader.sstamp.compare_and_swap(word, sstamp):
                 return True
 
     def _window_test(self, ctx: TransactionContext, store: Store, *,

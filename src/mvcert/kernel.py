@@ -4,8 +4,10 @@ Everything here is shared, mutable state touched by up to 64 worker threads.
 The concurrency contract is deliberately narrow: every cross-thread word is an
 AtomicCell offering plain load/store plus locked read-modify-write (fetch-add,
 fetch-or, compare-and-swap), and all waiting is bounded spinning.  Under
-CPython the GIL already makes single-attribute loads and stores atomic; the
-per-cell lock only serializes the read-modify-write cycles.
+CPython the GIL already makes single-attribute loads and stores atomic; one
+module-wide lock serializes the read-modify-write cycles of every cell.  That
+lock is not reentrant, so no read-modify-write may run another while it holds
+the lock.
 
 Stamp words are 64-bit integers with a fixed layout:
 
@@ -91,14 +93,18 @@ def encode(kind: str, value: int, locked: bool = False) -> int:
     return word | LOCK_BIT if locked else word
 
 
+# One lock for every cell: under the GIL it gives the same atomicity as a
+# lock per cell, without building one for each word.  Not reentrant.
+_RMW_LOCK = threading.Lock()
+
+
 class AtomicCell:
     """One shared machine word: plain load/store, locked read-modify-write."""
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value",)
 
     def __init__(self, value=0):
         self._value = value
-        self._lock = threading.Lock()
 
     def load(self):
         return self._value
@@ -107,26 +113,26 @@ class AtomicCell:
         self._value = value
 
     def compare_and_swap(self, expected, new) -> bool:
-        with self._lock:
+        with _RMW_LOCK:
             if self._value == expected:
                 self._value = new
                 return True
             return False
 
     def fetch_add(self, delta: int) -> int:
-        with self._lock:
+        with _RMW_LOCK:
             old = self._value
             self._value = old + delta
             return old
 
     def fetch_or(self, bits: int) -> int:
-        with self._lock:
+        with _RMW_LOCK:
             old = self._value
             self._value = old | bits
             return old
 
     def fetch_and(self, bits: int) -> int:
-        with self._lock:
+        with _RMW_LOCK:
             old = self._value
             self._value = old & bits
             return old
@@ -137,14 +143,14 @@ class AtomicCell:
         Only the owning thread folds its own sstamp, and only before sealing,
         so a locked word must never show up here.
         """
-        with self._lock:
+        with _RMW_LOCK:
             assert not is_locked(self._value)
             if value < self._value:
                 self._value = value
             return self._value
 
     def fold_max(self, value: int) -> int:
-        with self._lock:
+        with _RMW_LOCK:
             if value > self._value:
                 self._value = value
             return self._value

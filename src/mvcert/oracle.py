@@ -73,7 +73,7 @@ class DependencyGraph:
 def build_graph(events) -> DependencyGraph:
     """Dependency graph over the committed transactions of a trace.
 
-    Версion identity is (key, creator tid); the initial version of each key
+    Version identity is (key, creator tid); the initial version of each key
     has creator 0.  Aborted and unfinished transactions contribute nothing.
     """
     committed = {}

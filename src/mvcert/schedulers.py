@@ -37,7 +37,7 @@ from .certifier import (
 from .kernel import (
     INFINITY, AtomicCell, GlobalClock, Scheme, Status, TableMode,
     TransactionAborted, TransactionContext, TransactionTable, UsageError,
-    is_tid, transition_status, word_value,
+    is_tid, spin_until, transition_status, word_value,
 )
 from .store import Store, WriteConflict
 from .trace import TraceLog
@@ -326,7 +326,6 @@ class Engine:
     # ---------------- the ssi certifier ----------------
 
     def _ssi_on_read(self, ctx, version) -> None:
-        rereads = 0
         while True:
             word = version.sstamp.load()
             if word == INFINITY:
@@ -338,8 +337,8 @@ class Engine:
             peer = self.table.get(word_value(word))
             if peer is None:
                 # Overwriter concluded; its sstamp settles on re-read.
-                rereads += 1
-                assert rereads < 1_000_000, "overwrite resolution failed to settle"
+                spin_until(lambda: version.sstamp.load() != word,
+                           "overwriter %d to conclude" % word_value(word))
                 continue
             self._ssi_mark_inbound(ctx, peer)
             ctx.ssi.out_rw = True

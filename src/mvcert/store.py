@@ -166,18 +166,19 @@ class Store:
         version already carries the final stamp or the creator's context
         still holds it.
         """
-        guard = 0
-        while True:
-            word = version.cstamp.load()
-            if not is_tid(word):
-                return word_value(word)
-            creator = self.table.get(word_value(word)) if self.table else None
-            if creator is not None and creator.status.load() == Status.COMMITTED:
-                stamp = creator.cstamp.load()
-                if stamp:
-                    return stamp
-            guard += 1
-            assert guard < 1_000_000, "creation stamp failed to settle"
+        word = version.cstamp.load()
+        if not is_tid(word):
+            return word_value(word)
+        creator = self.table.get(word_value(word)) if self.table else None
+        if creator is not None and creator.status.load() == Status.COMMITTED:
+            stamp = creator.cstamp.load()
+            if stamp:
+                return stamp
+        # The creator left its slot after the first load, so it has already
+        # written the final stamp (or is about to).
+        spin_until(lambda: not is_tid(version.cstamp.load()),
+                   "creation stamp of tid %d" % word_value(word))
+        return word_value(version.cstamp.load())
 
     def install_version(self, ctx: TransactionContext, record: Record,
                         payload) -> VersionMeta:

@@ -352,6 +352,36 @@ class TestReadMostly:
         assert is_locked(reader.sstamp.load())
         assert word_value(reader.sstamp.load()) == INFINITY
 
+    @pytest.mark.parametrize("serial", [True, False])
+    def test_handshake_pushes_the_updater_watermark(self, serial):
+        # R -rw-> U (U overwrites R's stale read of x), U -rw-> W (W
+        # overwrote U's read of y first), W -wr-> R (R reads W's z).
+        # Pushing only U's commit stamp into R leaves that cycle open.
+        engine = Engine(8, SI, SSN, serial_commit=serial,
+                        read_mostly_threshold=2, trace=TraceLog())
+        x, y, z, pad = 0, 1, 2, 3
+        for _ in range(4):
+            padding = engine.begin(0)
+            engine.write(padding, pad)
+            engine.commit(padding)
+        updater = engine.begin(1)
+        engine.read(updater, y)
+        writer = engine.begin(2)
+        engine.write(writer, y)
+        engine.write(writer, z)
+        engine.commit(writer)
+        reader = engine.begin(0, read_mostly=True)
+        engine.read(reader, z)
+        engine.read(reader, x)                    # stale and untracked
+        assert reader.untracked_reads == 1
+        engine.write(updater, x)
+        engine.commit(updater)
+        assert word_value(reader.sstamp.load()) == writer.cstamp.load()
+        with pytest.raises(TransactionAborted) as failure:
+            engine.commit(reader)
+        assert failure.value.reason == "ssn_exclusion"
+        assert check_trace(engine.trace.merged()).clean
+
     def test_last_cstamp_feeds_the_updater_pstamp(self):
         engine = Engine(4, SI, SSN, read_mostly_threshold=2)
         seed = engine.begin(0)

@@ -1,5 +1,7 @@
 import random
+import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,9 @@ from mvcert.kernel import (
     UsageError, decode, encode, is_locked, is_tid, spin_until,
     transition_status, tid_word, ts_word, word_value,
 )
+from mvcert.certifier import overwriter_outcome
+from mvcert.schedulers import CertifierMode, Engine
+from mvcert.store import Record, VersionMeta
 
 
 class TestStampWords:
@@ -85,6 +90,56 @@ class TestAtomicCell:
         for t in threads:
             t.join()
         assert cell.load() == 80_000
+
+    def test_concurrent_cas_increments_over_shared_cells_are_exact(self):
+        # Every cell shares one lock; a retry loop of compare-and-swap
+        # increments must still lose nothing on any of them.
+        cells = [AtomicCell(0) for _ in range(16)]
+
+        def bump(seed):
+            rng = random.Random(seed)
+            for _ in range(20_000):
+                cell = cells[rng.randrange(16)]
+                while True:
+                    old = cell.load()
+                    if cell.compare_and_swap(old, old + 1):
+                        break
+
+        threads = [threading.Thread(target=bump, args=(seed,))
+                   for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        expected = [0] * 16
+        for seed in range(4):
+            rng = random.Random(seed)
+            for _ in range(20_000):
+                expected[rng.randrange(16)] += 1
+        assert [cell.load() for cell in cells] == expected
+
+    def test_versions_carry_no_per_cell_lock(self):
+        # One creator for every version, so only the versions and their
+        # cells count.  A lock per cell costs about 650 B per version.
+        record = Record(0)
+        word = tid_word(65)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            head = None
+            for _ in range(10_000):
+                head = VersionMeta(record, 65, word, head, None)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert head is not None
+        assert retained / 10_000 <= 320
 
 
 class TestGlobalClock:
@@ -214,3 +269,21 @@ def test_spin_until_gives_up_loudly(monkeypatch):
     monkeypatch.setattr("mvcert.kernel.SPIN_LIMIT", 100)
     with pytest.raises(RuntimeError, match="spin limit"):
         spin_until(lambda: False, "a condition that never holds")
+
+
+def test_stamp_resolution_waits_through_spin_until(monkeypatch):
+    # A claim by a transaction that is gone from the table but never
+    # settles: each resolution loop must give up through spin_until.
+    monkeypatch.setattr("mvcert.kernel.SPIN_LIMIT", 100)
+    engine = Engine(2, Scheme.SI, CertifierMode.SSI)
+    ghost = tid_word(engine.table.allocate_tid(1))
+    version = engine.store.record(0).head.load()
+    ctx = engine.begin(0)
+    orphan = VersionMeta(version.record, word_value(ghost), ghost, version, 1)
+    with pytest.raises(RuntimeError, match="spin limit"):
+        engine.store.creation_stamp(orphan)
+    version.sstamp.store(ghost)
+    with pytest.raises(RuntimeError, match="spin limit"):
+        overwriter_outcome(engine.table, version, ctx)
+    with pytest.raises(RuntimeError, match="spin limit"):
+        engine._ssi_on_read(ctx, version)
