@@ -40,11 +40,10 @@ from .store import Store, VersionMeta
 
 
 class SafeSnapshot:
-    __slots__ = ("stamp", "active")
+    __slots__ = ("stamp",)
 
-    def __init__(self, stamp: int, active: bool = True):
+    def __init__(self, stamp: int):
         self.stamp = stamp
-        self.active = active
 
 
 class StalenessPolicy:
@@ -95,7 +94,7 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
     """
     my_cstamp = ctx.cstamp.load()
     while True:
-        word = version.sstamp.load()
+        word = version.sstamp
         if word == INFINITY:
             return "unwritten", None
         if not is_tid(word):
@@ -117,7 +116,7 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
                            "peer %d pre-commit" % peer.tid)
                 if peer.status.load() == Status.COMMITTED:
                     return "committed", peer
-        spin_until(lambda: version.sstamp.load() != word,
+        spin_until(lambda: version.sstamp != word,
                    "overwriter %d to conclude" % word_value(word))
 
 
@@ -153,7 +152,7 @@ class ExclusionCertifier:
         stamp as a committed predecessor.
         """
         snapshot = self._snapshot
-        if snapshot is None or not snapshot.active:
+        if snapshot is None:
             return 0
         if ctx.start_stamp >= snapshot.stamp:
             return 0
@@ -176,7 +175,7 @@ class ExclusionCertifier:
         still leave the reader bit and the pstamp fold behind).
         """
         ctx.pstamp = max(ctx.pstamp, cstamp)
-        word = version.sstamp.load()
+        word = version.sstamp
         if word == INFINITY or is_tid(word):
             # No committed overwrite yet (an in-flight overwriter counts as
             # none; pre-commit resolves it through the transaction table).
@@ -201,7 +200,7 @@ class ExclusionCertifier:
         """
         if ctx.has_written(version):
             return
-        ctx.pstamp = max(ctx.pstamp, version.prev.pstamp.load())
+        ctx.pstamp = max(ctx.pstamp, version.prev.pstamp)
         ctx.track_write(version)
         self._early_check(ctx)
 
@@ -233,7 +232,7 @@ class ExclusionCertifier:
         cstamp = 0
         if (not ctx.writes and ctx.scheme is Scheme.SI
                 and ctx.begin_stamp > 0 and ctx.untracked_reads == 0
-                and all(v.sstamp.load() == INFINITY for v in ctx.reads)):
+                and all(v.sstamp == INFINITY for v in ctx.reads)):
             cstamp = ctx.begin_stamp
         if cstamp == 0:
             cstamp = self.clock.next()
@@ -248,7 +247,7 @@ class ExclusionCertifier:
         """
         ctx.sstamp.fold_min(ctx.cstamp.load())
         for version in ctx.reads:
-            word = version.sstamp.load()
+            word = version.sstamp
             if word == INFINITY or is_tid(word):
                 # Own overwrites are skipped; a foreign tid here belongs to a
                 # transaction that cannot be mid-commit while we hold the
@@ -264,7 +263,7 @@ class ExclusionCertifier:
         else:
             handshake_failed = False
             for version in ctx.writes:
-                pstamp = max(pstamp, version.prev.pstamp.load())
+                pstamp = max(pstamp, version.prev.pstamp)
         ctx.pstamp = pstamp
         if handshake_failed:
             return Verdict(True, "ssn_exclusion")
@@ -303,7 +302,7 @@ class ExclusionCertifier:
         handshake_failed = False
         for version in ctx.writes:
             prev = version.prev
-            bits = prev.readers.load()
+            bits = prev.readers
             while bits:
                 slot = (bits & -bits).bit_length() - 1
                 bits &= bits - 1
@@ -334,7 +333,7 @@ class ExclusionCertifier:
                     if not self._handshake(reader,
                                            word_value(ctx.sstamp.load())):
                         handshake_failed = True
-            pstamp = max(pstamp, prev.pstamp.load())
+            pstamp = max(pstamp, prev.pstamp)
         return pstamp, handshake_failed
 
     @staticmethod

@@ -1,13 +1,16 @@
 """Timestamps, stamp words, transaction contexts, and the worker-slot table.
 
 Everything here is shared, mutable state touched by up to 64 worker threads.
-The concurrency contract is deliberately narrow: every cross-thread word is an
-AtomicCell offering plain load/store plus locked read-modify-write (fetch-add,
-fetch-or, compare-and-swap), and all waiting is bounded spinning.  Under
-CPython the GIL already makes single-attribute loads and stores atomic; one
-module-wide lock serializes the read-modify-write cycles of every cell.  That
-lock is not reentrant, so no read-modify-write may run another while it holds
-the lock.
+The concurrency contract is deliberately narrow: under CPython the GIL makes
+single-attribute loads and stores atomic, and one module-wide lock, RMW_LOCK,
+serializes every read-modify-write cycle of a cross-thread word; all waiting
+is bounded spinning.  Record heads, the table stamps, the clock, the tid
+sequence and the transaction contexts hold their words in AtomicCells (plain
+load/store plus locked fetch-add, fetch-or, compare-and-swap).  Version
+stamps and reader bits are plain slots of the version itself, whose
+read-modify-writes are VersionMeta methods under the same lock (store.py).
+The lock is not reentrant, so no read-modify-write may run another while it
+holds the lock.
 
 Stamp words are 64-bit integers with a fixed layout:
 
@@ -93,9 +96,10 @@ def encode(kind: str, value: int, locked: bool = False) -> int:
     return word | LOCK_BIT if locked else word
 
 
-# One lock for every cell: under the GIL it gives the same atomicity as a
-# lock per cell, without building one for each word.  Not reentrant.
-_RMW_LOCK = threading.Lock()
+# One lock for every read-modify-write, of cells and version words alike:
+# under the GIL it gives the same atomicity as a lock per word, without
+# building one for each.  Not reentrant.
+RMW_LOCK = threading.Lock()
 
 
 class AtomicCell:
@@ -113,26 +117,26 @@ class AtomicCell:
         self._value = value
 
     def compare_and_swap(self, expected, new) -> bool:
-        with _RMW_LOCK:
+        with RMW_LOCK:
             if self._value == expected:
                 self._value = new
                 return True
             return False
 
     def fetch_add(self, delta: int) -> int:
-        with _RMW_LOCK:
+        with RMW_LOCK:
             old = self._value
             self._value = old + delta
             return old
 
     def fetch_or(self, bits: int) -> int:
-        with _RMW_LOCK:
+        with RMW_LOCK:
             old = self._value
             self._value = old | bits
             return old
 
     def fetch_and(self, bits: int) -> int:
-        with _RMW_LOCK:
+        with RMW_LOCK:
             old = self._value
             self._value = old & bits
             return old
@@ -143,14 +147,14 @@ class AtomicCell:
         Only the owning thread folds its own sstamp, and only before sealing,
         so a locked word must never show up here.
         """
-        with _RMW_LOCK:
+        with RMW_LOCK:
             assert not is_locked(self._value)
             if value < self._value:
                 self._value = value
             return self._value
 
     def fold_max(self, value: int) -> int:
-        with _RMW_LOCK:
+        with RMW_LOCK:
             if value > self._value:
                 self._value = value
             return self._value

@@ -119,7 +119,7 @@ class Engine:
             ctx.begin_stamp = 0
         snapshot = self.cert.current_snapshot()
         if (read_only and self.certifier is CertifierMode.SSN
-                and snapshot is not None and snapshot.active):
+                and snapshot is not None):
             # Read-only queries on the safe snapshot skip certification
             # entirely; the snapshot stamp is both visibility cut and
             # commit stamp.
@@ -327,7 +327,7 @@ class Engine:
 
     def _ssi_on_read(self, ctx, version) -> None:
         while True:
-            word = version.sstamp.load()
+            word = version.sstamp
             if word == INFINITY:
                 ctx.track_read(version)
                 return
@@ -337,7 +337,7 @@ class Engine:
             peer = self.table.get(word_value(word))
             if peer is None:
                 # Overwriter concluded; its sstamp settles on re-read.
-                spin_until(lambda: version.sstamp.load() != word,
+                spin_until(lambda: version.sstamp != word,
                            "overwriter %d to conclude" % word_value(word))
                 continue
             self._ssi_mark_inbound(ctx, peer)
@@ -372,8 +372,8 @@ class Engine:
 
     def _ssi_on_write(self, ctx, version) -> None:
         prev = version.prev
-        foreign_bits = prev.readers.load() & ~(1 << ctx.slot)
-        if foreign_bits or prev.pstamp.load() > prev.committed_stamp():
+        foreign_bits = prev.readers & ~(1 << ctx.slot)
+        if foreign_bits or prev.pstamp > prev.committed_stamp():
             ctx.ssi.in_rw.fetch_or(IN_RW)
 
     def _ssi_pre_commit(self, ctx, cstamp: int) -> None:

@@ -12,12 +12,19 @@ tid -> overwriter's successor watermark, never any other way; pstamp only
 rises once the version is committed.  Aborts restore the overwritten
 version's sstamp to +inf before unlinking the dead head, so no reader can
 observe a dangling overwriter tid.
+
+A version's stamps and reader bitmap are plain slots: loads and stores are
+attribute accesses, atomic under the GIL.  Their read-modify-writes (the
+sstamp claim and its restore, the pstamp raise, setting and clearing a
+reader bit) are VersionMeta methods that run under kernel.RMW_LOCK, the
+lock every AtomicCell shares.  Record heads and the table stamps stay
+AtomicCells.
 """
 
 from __future__ import annotations
 
 from .kernel import (
-    INFINITY, AtomicCell, Scheme, Status, TransactionContext,
+    INFINITY, RMW_LOCK, AtomicCell, Scheme, Status, TransactionContext,
     is_tid, spin_until, tid_word, ts_word, word_value,
 )
 
@@ -41,21 +48,42 @@ class VersionMeta:
     def __init__(self, record, creator_tid: int, cstamp_word: int, prev, payload):
         self.record = record
         self.creator_tid = creator_tid
-        self.cstamp = AtomicCell(cstamp_word)
-        self.pstamp = AtomicCell(0)
-        self.sstamp = AtomicCell(INFINITY)
+        self.cstamp = cstamp_word
+        self.pstamp = 0
+        self.sstamp = INFINITY
         self.prev = prev
-        self.readers = AtomicCell(0)
+        self.readers = 0
         self.payload = payload
         self.ssi_mark = None  # (cstamp, out_rw, partner_commit) after an SSI commit
 
     def is_committed(self) -> bool:
-        return not is_tid(self.cstamp.load())
+        return not is_tid(self.cstamp)
 
     def committed_stamp(self) -> int:
-        word = self.cstamp.load()
+        word = self.cstamp
         assert not is_tid(word)
         return word_value(word)
+
+    def swap_sstamp(self, expected: int, new: int) -> bool:
+        """Compare-and-swap of sstamp: an overwriter's claim or its restore."""
+        with RMW_LOCK:
+            if self.sstamp == expected:
+                self.sstamp = new
+                return True
+            return False
+
+    def raise_pstamp(self, stamp: int) -> None:
+        with RMW_LOCK:
+            if stamp > self.pstamp:
+                self.pstamp = stamp
+
+    def set_reader(self, slot: int) -> None:
+        with RMW_LOCK:
+            self.readers |= 1 << slot
+
+    def clear_reader(self, slot: int) -> None:
+        with RMW_LOCK:
+            self.readers &= ~(1 << slot)
 
 
 class Record:
@@ -65,8 +93,7 @@ class Record:
         # Every record starts with a committed "invalid" version: payload None,
         # creation stamp 0, creator 0 (nobody).
         self.key = key
-        self.head = AtomicCell(None)
-        self.head.store(VersionMeta(self, 0, ts_word(0), None, None))
+        self.head = AtomicCell(VersionMeta(self, 0, ts_word(0), None, None))
 
 
 class TableStamps:
@@ -123,7 +150,7 @@ class Store:
         """
         version = record.head.load()
         while version is not None:
-            word = version.cstamp.load()
+            word = version.cstamp
             if is_tid(word):
                 if word_value(word) == ctx.tid:
                     break  # read-own-writes
@@ -132,7 +159,7 @@ class Store:
                     # Creator concluded: a committed creator finalized the
                     # stamp before vacating its slot, so a still-tagged stamp
                     # marks an unlinked orphan from an abort.
-                    if is_tid(version.cstamp.load()):
+                    if is_tid(version.cstamp):
                         version = version.prev
                     continue
                 status = creator.status.load()
@@ -166,7 +193,7 @@ class Store:
         version already carries the final stamp or the creator's context
         still holds it.
         """
-        word = version.cstamp.load()
+        word = version.cstamp
         if not is_tid(word):
             return word_value(word)
         creator = self.table.get(word_value(word)) if self.table else None
@@ -176,9 +203,9 @@ class Store:
                 return stamp
         # The creator left its slot after the first load, so it has already
         # written the final stamp (or is about to).
-        spin_until(lambda: not is_tid(version.cstamp.load()),
+        spin_until(lambda: not is_tid(version.cstamp),
                    "creation stamp of tid %d" % word_value(word))
-        return word_value(version.cstamp.load())
+        return word_value(version.cstamp)
 
     def install_version(self, ctx: TransactionContext, record: Record,
                         payload) -> VersionMeta:
@@ -189,7 +216,7 @@ class Store:
         overwrite by the same transaction replaces the payload in place.
         """
         head = record.head.load()
-        head_word = head.cstamp.load()
+        head_word = head.cstamp
         if is_tid(head_word):
             if word_value(head_word) == ctx.tid:
                 head.payload = payload
@@ -202,15 +229,15 @@ class Store:
             # Another writer won the append race; treat like any other
             # write-write conflict rather than blocking.
             raise WriteConflict("uncommitted")
-        swapped = head.sstamp.compare_and_swap(INFINITY, tid_word(ctx.tid))
+        swapped = head.swap_sstamp(INFINITY, tid_word(ctx.tid))
         assert swapped, "overwritten head carried a foreign overwriter tid"
         return version
 
     def register_reader(self, version: VersionMeta, slot: int) -> None:
-        version.readers.fetch_or(1 << slot)
+        version.set_reader(slot)
 
     def clear_reader(self, version: VersionMeta, slot: int) -> None:
-        version.readers.fetch_and(~(1 << slot))
+        version.clear_reader(slot)
 
     def finalize_commit(self, ctx: TransactionContext) -> None:
         """Post-commit stamp propagation for a committed transaction.
@@ -224,22 +251,16 @@ class Store:
         cstamp = ctx.cstamp.load()
         own = tid_word(ctx.tid)
         for version in ctx.reads:
-            if version.sstamp.load() == own:
-                continue
-            while True:
-                pstamp = version.pstamp.load()
-                if pstamp >= cstamp:
-                    break
-                if version.pstamp.compare_and_swap(pstamp, cstamp):
-                    break
+            if version.sstamp != own:
+                version.raise_pstamp(cstamp)
         pi = word_value(ctx.sstamp.load())
         for version in ctx.writes:
             if ctx.ssi is not None:
                 version.prev.ssi_mark = (
                     cstamp, ctx.ssi.out_rw, ctx.ssi.partner_commit)
-            version.prev.sstamp.store(ts_word(pi))
-            version.pstamp.store(cstamp)
-            version.cstamp.store(ts_word(cstamp))
+            version.prev.sstamp = ts_word(pi)
+            version.pstamp = cstamp
+            version.cstamp = ts_word(cstamp)
 
     def rollback(self, ctx: TransactionContext) -> None:
         """Unlink every version an aborted transaction installed.
@@ -248,8 +269,7 @@ class Store:
         a concurrent reader never sees an overwriter tid with no overwriter.
         """
         for version in reversed(ctx.writes):
-            restored = version.prev.sstamp.compare_and_swap(
-                tid_word(ctx.tid), INFINITY)
+            restored = version.prev.swap_sstamp(tid_word(ctx.tid), INFINITY)
             assert restored, "aborting overwriter lost its sstamp claim"
             unlinked = version.record.head.compare_and_swap(version, version.prev)
             assert unlinked, "aborted head was overwritten concurrently"
@@ -261,8 +281,8 @@ class Store:
             chain = []
             version = record.head.load()
             while version is not None:
-                chain.append((version.creator_tid, version.cstamp.load(),
-                              version.pstamp.load(), version.sstamp.load(),
+                chain.append((version.creator_tid, version.cstamp,
+                              version.pstamp, version.sstamp,
                               version.payload))
                 version = version.prev
             chain.reverse()
@@ -275,7 +295,7 @@ class Store:
             version = record.head.load()
             last = None
             while version is not None:
-                word = version.cstamp.load()
+                word = version.cstamp
                 assert not is_tid(word), \
                     "record %r retains an uncommitted head" % (record.key,)
                 stamp = word_value(word)

@@ -17,14 +17,16 @@ For writes the version columns describe the overwritten version; the new
 version's identity is (key, tid) implicitly.  Multi-threaded runs log into
 per-thread buffers; a global sequence number taken at emit time lets the
 merge preserve real-time order, so any referenced version was created by an
-earlier line.
+earlier line.  The sequence is an itertools.count: under the GIL, next() on
+it is a single C call, so concurrent emitters never draw the same number.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
-from .kernel import MAX_WORKERS, AtomicCell
+from .kernel import MAX_WORKERS
 
 ABORT_REASONS = ("cc_conflict", "ssn_exclusion", "ssi_dangerous",
                  "safe_snapshot", "user")
@@ -53,29 +55,26 @@ class TraceLog:
 
     def __init__(self):
         self._buffers = [[] for _ in range(MAX_WORKERS)]
-        self._seq = AtomicCell(0)
+        self._seq = itertools.count()
 
     def begin(self, tid, thread):
-        self._emit(thread, TraceEvent(self._next(), "begin", tid, thread))
+        self._emit(thread, TraceEvent(next(self._seq), "begin", tid, thread))
 
     def read(self, tid, thread, key, ver_creator, ver_cstamp):
-        self._emit(thread, TraceEvent(self._next(), "read", tid, thread,
+        self._emit(thread, TraceEvent(next(self._seq), "read", tid, thread,
                                       key, ver_creator, ver_cstamp))
 
     def write(self, tid, thread, key, prev_creator, prev_cstamp):
-        self._emit(thread, TraceEvent(self._next(), "write", tid, thread,
+        self._emit(thread, TraceEvent(next(self._seq), "write", tid, thread,
                                       key, prev_creator, prev_cstamp))
 
     def commit(self, tid, thread, cstamp):
-        self._emit(thread, TraceEvent(self._next(), "commit", tid, thread,
+        self._emit(thread, TraceEvent(next(self._seq), "commit", tid, thread,
                                       cstamp=cstamp))
 
     def abort(self, tid, thread, reason):
-        self._emit(thread, TraceEvent(self._next(), "abort", tid, thread,
+        self._emit(thread, TraceEvent(next(self._seq), "abort", tid, thread,
                                       reason=reason))
-
-    def _next(self):
-        return self._seq.fetch_add(1)
 
     def _emit(self, thread, event):
         self._buffers[thread].append(event)

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import sys
 import threading
@@ -5,6 +7,8 @@ import tracemalloc
 
 import pytest
 
+import mvcert
+from mvcert import kernel
 from mvcert.kernel import (
     INFINITY, LOCK_BIT, TID_TAG, VALUE_MASK, AtomicCell, GlobalClock,
     IllegalTransition, Scheme, Status, TransactionContext, TransactionTable,
@@ -13,7 +17,8 @@ from mvcert.kernel import (
 )
 from mvcert.certifier import overwriter_outcome
 from mvcert.schedulers import CertifierMode, Engine
-from mvcert.store import Record, VersionMeta
+from mvcert.store import Record, Store, VersionMeta
+from mvcert.trace import TraceLog
 
 
 class TestStampWords:
@@ -125,8 +130,9 @@ class TestAtomicCell:
         assert [cell.load() for cell in cells] == expected
 
     def test_versions_carry_no_per_cell_lock(self):
-        # One creator for every version, so only the versions and their
-        # cells count.  A lock per cell costs about 650 B per version.
+        # One creator for every version, so only the versions count.  A
+        # flat version takes about 104 B; a cell per stamp word cost 264 B,
+        # a lock per cell about 650 B.
         record = Record(0)
         word = tid_word(65)
         tracemalloc.start()
@@ -139,7 +145,128 @@ class TestAtomicCell:
         finally:
             tracemalloc.stop()
         assert head is not None
-        assert retained / 10_000 <= 320
+        assert not any(isinstance(getattr(head, name), AtomicCell)
+                       for name in VersionMeta.__slots__)
+        assert retained / 10_000 <= 128
+
+    def test_records_stay_small(self):
+        # A record, its head cell and its initial version: about 232 B.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = Store(10_000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 10_000
+        assert retained / 10_000 <= 256
+
+
+class _RecordingLock:
+    """Stands in for the shared RMW lock: records each acquisition.
+
+    probe reads the state the read-modify-write under test may change; it
+    is sampled on entry and on exit, so the test can tell that the update
+    happened inside the lock.  Re-entry fails, as it would deadlock the
+    real, non-reentrant lock.
+    """
+
+    def __init__(self, probe):
+        self.probe = probe
+        self.seen = []
+        self.held = False
+
+    def __enter__(self):
+        assert not self.held, "a read-modify-write re-entered the lock"
+        self.held = True
+        self.seen.append(self.probe())
+
+    def __exit__(self, *exc):
+        self.seen.append(self.probe())
+        self.held = False
+
+
+def _version():
+    return VersionMeta(Record(0), 65, tid_word(65), None, None)
+
+
+def _reader_set_version():
+    version = _version()
+    version.readers = 1 << 2
+    return version
+
+
+def _version_words(version):
+    return version.cstamp, version.pstamp, version.sstamp, version.readers
+
+
+# name: (make target, run the read-modify-write, probe its state)
+READ_MODIFY_WRITES = {
+    "AtomicCell.compare_and_swap": (
+        lambda: AtomicCell(0), lambda c: c.compare_and_swap(0, 1),
+        AtomicCell.load),
+    "AtomicCell.fetch_add": (
+        lambda: AtomicCell(0), lambda c: c.fetch_add(1), AtomicCell.load),
+    "AtomicCell.fetch_or": (
+        lambda: AtomicCell(0), lambda c: c.fetch_or(2), AtomicCell.load),
+    "AtomicCell.fetch_and": (
+        lambda: AtomicCell(3), lambda c: c.fetch_and(1), AtomicCell.load),
+    "AtomicCell.fold_min": (
+        lambda: AtomicCell(INFINITY), lambda c: c.fold_min(5),
+        AtomicCell.load),
+    "AtomicCell.fold_max": (
+        lambda: AtomicCell(0), lambda c: c.fold_max(5), AtomicCell.load),
+    "VersionMeta.swap_sstamp": (
+        _version, lambda v: v.swap_sstamp(INFINITY, tid_word(129)),
+        _version_words),
+    "VersionMeta.raise_pstamp": (
+        _version, lambda v: v.raise_pstamp(3), _version_words),
+    "VersionMeta.set_reader": (
+        _version, lambda v: v.set_reader(2), _version_words),
+    "VersionMeta.clear_reader": (
+        _reader_set_version, lambda v: v.clear_reader(2), _version_words),
+}
+
+
+def _mvcert_modules():
+    return [importlib.import_module("mvcert." + info.name)
+            for info in pkgutil.iter_modules(mvcert.__path__)]
+
+
+class TestLockDiscipline:
+    def test_the_shared_lock_is_the_only_module_lock(self):
+        lock_type = type(threading.Lock())
+        for module in _mvcert_modules():
+            for name, value in vars(module).items():
+                if isinstance(value, lock_type):
+                    assert value is kernel.RMW_LOCK, \
+                        "%s.%s is a second lock" % (module.__name__, name)
+
+    def test_every_read_modify_write_is_listed(self):
+        plain = {"load", "store", "is_committed", "committed_stamp"}
+        defined = {"%s.%s" % (cls.__name__, name)
+                   for cls in (AtomicCell, VersionMeta)
+                   for name, value in vars(cls).items()
+                   if callable(value) and not name.startswith("__")
+                   and name not in plain}
+        assert defined == set(READ_MODIFY_WRITES)
+
+    @pytest.mark.parametrize("name", sorted(READ_MODIFY_WRITES))
+    def test_read_modify_write_runs_under_the_shared_lock(
+            self, monkeypatch, name):
+        make, run, probe = READ_MODIFY_WRITES[name]
+        target = make()
+        shared, lock = kernel.RMW_LOCK, _RecordingLock(lambda: probe(target))
+        for module in _mvcert_modules():
+            for attr, value in list(vars(module).items()):
+                if value is shared:
+                    monkeypatch.setattr(module, attr, lock)
+        before = probe(target)
+        run(target)
+        after = probe(target)
+        assert before != after
+        assert lock.seen == [before, after], \
+            "%s changed its word outside the shared lock" % name
 
 
 class TestGlobalClock:
@@ -171,6 +298,28 @@ class TestGlobalClock:
         assert 0 not in merged
         for bucket in draws:
             assert bucket == sorted(bucket)
+
+
+def test_concurrent_trace_emitters_draw_distinct_sequence_numbers():
+    trace = TraceLog()
+
+    def emit(thread):
+        for tid in range(20_000):
+            trace.begin(tid, thread)
+
+    threads = [threading.Thread(target=emit, args=(thread,))
+               for thread in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [event.seq for event in trace.merged()] == list(range(80_000))
 
 
 class TestStatusMachine:
@@ -282,7 +431,7 @@ def test_stamp_resolution_waits_through_spin_until(monkeypatch):
     orphan = VersionMeta(version.record, word_value(ghost), ghost, version, 1)
     with pytest.raises(RuntimeError, match="spin limit"):
         engine.store.creation_stamp(orphan)
-    version.sstamp.store(ghost)
+    version.sstamp = ghost
     with pytest.raises(RuntimeError, match="spin limit"):
         overwriter_outcome(engine.table, version, ctx)
     with pytest.raises(RuntimeError, match="spin limit"):

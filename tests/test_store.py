@@ -45,7 +45,7 @@ class TestInitialState:
             head = record.head.load()
             assert head.payload is None
             assert head.creator_tid == 0
-            assert head.cstamp.load() == ts_word(0)
+            assert head.cstamp == ts_word(0)
             assert head.prev is None
 
     def test_initial_version_is_visible_but_not_found_when_required(
@@ -104,7 +104,7 @@ class TestVisibility:
         reader = make_ctx(table, 0, Scheme.RC)
         got = store.visible_version(reader, record)
         assert got.payload == "v9"
-        assert is_tid(got.cstamp.load())
+        assert is_tid(got.cstamp)
         assert store.creation_stamp(got) == 9
 
 
@@ -122,8 +122,8 @@ class TestInstall:
         committed_version(store, record, make_ctx(table, 1, Scheme.RC), 7, "v7")
         writer = make_ctx(table, 0, Scheme.RC)
         version = store.install_version(writer, record, "v8")
-        assert is_tid(version.cstamp.load())
-        assert word_value(version.cstamp.load()) == writer.tid
+        assert is_tid(version.cstamp)
+        assert word_value(version.cstamp) == writer.tid
         assert record.head.load() is version
 
     def test_uncommitted_head_conflicts(self, store, table):
@@ -140,7 +140,7 @@ class TestInstall:
         prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "v3")
         writer = make_ctx(table, 0, Scheme.RC)
         store.install_version(writer, record, "v4")
-        assert prev.sstamp.load() == tid_word(writer.tid)
+        assert prev.sstamp == tid_word(writer.tid)
 
     def test_repeated_own_overwrite_replaces_payload_in_place(self, store, table):
         record = store.record(0)
@@ -156,21 +156,21 @@ class TestReaders:
     def test_register_sets_the_slot_bit(self, store):
         version = store.record(0).head.load()
         store.register_reader(version, 2)
-        assert version.readers.load() == 1 << 2
+        assert version.readers == 1 << 2
 
     def test_register_is_idempotent_and_clear_removes(self, store):
         version = store.record(0).head.load()
         store.register_reader(version, 5)
         store.register_reader(version, 5)
         store.clear_reader(version, 5)
-        assert version.readers.load() == 0
+        assert version.readers == 0
 
 
 class TestFinalizeAndRollback:
     def test_commit_raises_read_pstamps(self, store, table):
         record = store.record(0)
         version = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
-        version.pstamp.store(4)
+        version.pstamp = 4
         reader = make_ctx(table, 0, Scheme.RC)
         reader.track_read(version)
         transition_status(reader, Status.INFLIGHT, Status.COMMITTING)
@@ -178,17 +178,17 @@ class TestFinalizeAndRollback:
         reader.sstamp.fold_min(9)
         transition_status(reader, Status.COMMITTING, Status.COMMITTED)
         store.finalize_commit(reader)
-        assert version.pstamp.load() == 9
+        assert version.pstamp == 9
 
     def test_commit_finalizes_overwritten_sstamp_and_new_stamps(self, store, table):
         record = store.record(0)
         prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
         version = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 9, "y")
-        final = prev.sstamp.load()
+        final = prev.sstamp
         assert not is_tid(final)
         assert word_value(final) == 9
-        assert version.cstamp.load() == ts_word(9)
-        assert version.pstamp.load() == 9
+        assert version.cstamp == ts_word(9)
+        assert version.pstamp == 9
 
     def test_rollback_restores_chain_and_sstamp(self, store, table):
         record = store.record(0)
@@ -199,7 +199,7 @@ class TestFinalizeAndRollback:
         transition_status(writer, Status.INFLIGHT, Status.ABORTED)
         store.rollback(writer)
         assert record.head.load() is prev
-        assert prev.sstamp.load() == INFINITY
+        assert prev.sstamp == INFINITY
 
     def test_own_overwritten_reads_keep_their_stamps(self, store, table):
         # A version the transaction both read and overwrote is dropped from
@@ -215,7 +215,7 @@ class TestFinalizeAndRollback:
         ctx.sstamp.fold_min(8)
         transition_status(ctx, Status.COMMITTING, Status.COMMITTED)
         store.finalize_commit(ctx)
-        assert prev.pstamp.load() == 3  # not raised to 8
+        assert prev.pstamp == 3  # not raised to 8
 
 
 class TestChainStress:
