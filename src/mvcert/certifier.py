@@ -32,8 +32,8 @@ from __future__ import annotations
 import threading
 
 from .kernel import (
-    INFINITY, LOCK_BIT, Scheme, Status, TableMode, TransactionContext,
-    TransactionTable, GlobalClock, is_locked, is_tid, spin_until,
+    INFINITY, LOCK_BIT, TID_TAG, VALUE_MASK, Scheme, Status, TableMode,
+    TransactionContext, TransactionTable, GlobalClock, is_tid, spin_until,
     transition_status, word_value,
 )
 from .store import Store, VersionMeta
@@ -59,21 +59,6 @@ class StalenessPolicy:
             raise ValueError("staleness threshold must be >= 0")
         self.threshold = threshold
 
-    def untracked(self, clock: GlobalClock, cstamp: int) -> bool:
-        if self.threshold == 0:
-            return False
-        return clock.current() - cstamp > self.threshold
-
-
-class Verdict:
-    """Outcome of the pre-commit certification step."""
-
-    __slots__ = ("violation", "cause")
-
-    def __init__(self, violation: bool, cause: str | None):
-        self.violation = violation
-        self.cause = cause
-
 
 def overwriter_outcome(table: TransactionTable, version: VersionMeta,
                        ctx: TransactionContext):
@@ -92,7 +77,7 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
     undoing its claim; either way the field is about to hold (or already
     holds) other content, which we wait for and re-read.
     """
-    my_cstamp = ctx.cstamp.load()
+    my_cstamp = ctx.cstamp
     while True:
         word = version.sstamp
         if word == INFINITY:
@@ -103,18 +88,18 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
             return "own", None
         peer = table.get(word_value(word))
         if peer is not None:
-            if peer.status.load() == Status.INFLIGHT:
+            if peer.status == Status.INFLIGHT:
                 return "pending", peer
             # A peer that aborted before drawing a stamp never fills cstamp in.
-            spin_until(lambda: peer.cstamp.load() != 0
-                       or peer.status.load() == Status.ABORTED,
+            spin_until(lambda: peer.cstamp != 0
+                       or peer.status == Status.ABORTED,
                        "peer %d commit stamp" % peer.tid)
-            if peer.cstamp.load() != 0:
-                if my_cstamp and peer.cstamp.load() >= my_cstamp:
+            if peer.cstamp != 0:
+                if my_cstamp and peer.cstamp >= my_cstamp:
                     return "pending", peer
-                spin_until(lambda: peer.status.load() != Status.COMMITTING,
+                spin_until(lambda: peer.status != Status.COMMITTING,
                            "peer %d pre-commit" % peer.tid)
-                if peer.status.load() == Status.COMMITTED:
+                if peer.status == Status.COMMITTED:
                     return "committed", peer
         spin_until(lambda: version.sstamp != word,
                    "overwriter %d to conclude" % word_value(word))
@@ -171,23 +156,29 @@ class ExclusionCertifier:
         already overwritten by a committed transaction the overwriter's
         successor watermark folds into sstamp; otherwise the version joins
         the read set for re-checking at pre-commit, unless it is stale under
-        the read-mostly policy (stale reads stay out of the read set but
-        still leave the reader bit and the pstamp fold behind).
+        the read-mostly policy (a read-mostly transaction's read of a version
+        more than threshold ticks older than the clock; stale reads stay out
+        of the read set but still leave the reader bit and the pstamp fold
+        behind).  The window test after the folds is advisory: stamps may
+        still move, the binding check happens at pre-commit.
         """
-        ctx.pstamp = max(ctx.pstamp, cstamp)
+        if cstamp > ctx.pstamp:
+            ctx.pstamp = cstamp
         word = version.sstamp
-        if word == INFINITY or is_tid(word):
+        if word == INFINITY or word & TID_TAG:
             # No committed overwrite yet (an in-flight overwriter counts as
             # none; pre-commit resolves it through the transaction table).
-            untracked = force_untracked or (
-                ctx.read_mostly and self.staleness.untracked(self.clock, cstamp))
-            if untracked:
+            threshold = self.staleness.threshold
+            if force_untracked or (
+                    ctx.read_mostly and threshold
+                    and self.clock.current() - cstamp > threshold):
                 ctx.untracked_reads += 1
             else:
                 ctx.track_read(version)
         else:
-            ctx.sstamp.fold_min(word_value(word))
-        self._early_check(ctx)
+            ctx.fold_sstamp(word & VALUE_MASK)
+        if ctx.sstamp & VALUE_MASK <= ctx.pstamp:
+            self._violation(ctx)
 
     def on_write(self, ctx: TransactionContext, version: VersionMeta) -> None:
         """Bookkeeping after version was installed by ctx.
@@ -198,21 +189,19 @@ class ExclusionCertifier:
         logically dropped from the read set by skipping entries whose sstamp
         carries the transaction's own tid.
         """
-        if ctx.has_written(version):
+        if version in ctx.writes:
             return
         ctx.pstamp = max(ctx.pstamp, version.prev.pstamp)
-        ctx.track_write(version)
-        self._early_check(ctx)
+        ctx.writes[version] = None
+        if ctx.sstamp & VALUE_MASK <= ctx.pstamp:
+            self._violation(ctx)
 
-    def _early_check(self, ctx: TransactionContext) -> None:
-        # Advisory only: stamps may still move, the binding check happens at
-        # pre-commit.  In observe mode nothing aborts here either.
-        pi = word_value(ctx.sstamp.load())
-        if pi <= ctx.pstamp:
-            if self.observe:
-                ctx.observed_violation = True
-            else:
-                raise ExclusionViolation("ssn_exclusion")
+    def _violation(self, ctx: TransactionContext) -> None:
+        """Advisory window violation: noted in observe mode, else aborts."""
+        if self.observe:
+            ctx.observed_violation = True
+        else:
+            raise ExclusionViolation("ssn_exclusion")
 
     # ---------------- pre-commit ----------------
 
@@ -236,16 +225,18 @@ class ExclusionCertifier:
             cstamp = ctx.begin_stamp
         if cstamp == 0:
             cstamp = self.clock.next()
-        ctx.cstamp.store(cstamp)
+        ctx.cstamp = cstamp
         return cstamp
 
-    def certify_serial(self, ctx: TransactionContext, store: Store) -> Verdict:
+    def certify_serial(self, ctx: TransactionContext,
+                       store: Store) -> str | None:
         """Watermark finalization and the window test, latched variant.
 
-        The caller must hold self.latch from before this call until the
+        Returns the abort cause, or None when the commit may proceed.  The
+        caller must hold self.latch from before this call until the
         post-commit propagation (or rollback) has finished.
         """
-        ctx.sstamp.fold_min(ctx.cstamp.load())
+        ctx.fold_sstamp(ctx.cstamp)
         for version in ctx.reads:
             word = version.sstamp
             if word == INFINITY or is_tid(word):
@@ -253,7 +244,7 @@ class ExclusionCertifier:
                 # transaction that cannot be mid-commit while we hold the
                 # latch, so it counts as no committed overwrite.
                 continue
-            ctx.sstamp.fold_min(word_value(word))
+            ctx.fold_sstamp(word_value(word))
         pstamp = ctx.pstamp
         if self.staleness.threshold > 0:
             # Untracked readers leave no access stamps behind, so even the
@@ -266,24 +257,30 @@ class ExclusionCertifier:
                 pstamp = max(pstamp, version.prev.pstamp)
         ctx.pstamp = pstamp
         if handshake_failed:
-            return Verdict(True, "ssn_exclusion")
+            return "ssn_exclusion"
         return self._window_test(ctx, store)
 
-    def certify_parallel(self, ctx: TransactionContext, store: Store) -> Verdict:
-        """Latch-free watermark finalization and window test."""
-        ctx.sstamp.fold_min(ctx.cstamp.load())
+    def certify_parallel(self, ctx: TransactionContext,
+                         store: Store) -> str | None:
+        """Latch-free watermark finalization and window test.
+
+        Returns the abort cause, or None when the commit may proceed.
+        """
+        ctx.fold_sstamp(ctx.cstamp)
         for version in ctx.reads:
+            if version.sstamp == INFINITY:
+                continue  # not overwritten: nothing to resolve
             kind, value = overwriter_outcome(self.table, version, ctx)
             if kind == "final":
-                ctx.sstamp.fold_min(word_value(value))
+                ctx.fold_sstamp(word_value(value))
             elif kind == "committed":
-                ctx.sstamp.fold_min(word_value(value.sstamp.load()))
+                ctx.fold_sstamp(word_value(value.sstamp))
             # own / unwritten / pending contribute nothing
 
         pstamp, handshake_failed = self._reader_sweep(ctx, ctx.pstamp)
         ctx.pstamp = pstamp
         if handshake_failed:
-            return Verdict(True, "ssn_exclusion")
+            return "ssn_exclusion"
         return self._window_test(ctx, store, seal=ctx.read_mostly)
 
     def _reader_sweep(self, ctx: TransactionContext, pstamp: int):
@@ -298,7 +295,7 @@ class ExclusionCertifier:
         access stamp at the end catches any reader the bitmap walk missed.
         The caller has already folded every read into that watermark.
         """
-        my_cstamp = ctx.cstamp.load()
+        my_cstamp = ctx.cstamp
         handshake_failed = False
         for version in ctx.writes:
             prev = version.prev
@@ -314,24 +311,23 @@ class ExclusionCertifier:
                 reader = self.table.slots[slot].current
                 if reader is None or reader is ctx:
                     continue
-                status = reader.status.load()
+                status = reader.status
                 settled = False
                 if status != Status.INFLIGHT:
-                    spin_until(lambda: reader.cstamp.load() != 0
-                               or reader.status.load() == Status.ABORTED,
+                    spin_until(lambda: reader.cstamp != 0
+                               or reader.status == Status.ABORTED,
                                "reader %d commit stamp" % reader.tid)
-                    reader_cstamp = reader.cstamp.load()
+                    reader_cstamp = reader.cstamp
                     if reader_cstamp == 0:
                         continue  # aborted before pre-commit; nothing to fold
                     if reader_cstamp < my_cstamp:
-                        spin_until(lambda: reader.status.load() != Status.COMMITTING,
+                        spin_until(lambda: reader.status != Status.COMMITTING,
                                    "reader %d pre-commit" % reader.tid)
                         settled = True
-                        if reader.status.load() == Status.COMMITTED:
+                        if reader.status == Status.COMMITTED:
                             pstamp = max(pstamp, reader_cstamp)
                 if reader.read_mostly and not settled:
-                    if not self._handshake(reader,
-                                           word_value(ctx.sstamp.load())):
+                    if not self._handshake(reader, ctx.sstamp & VALUE_MASK):
                         handshake_failed = True
             pstamp = max(pstamp, prev.pstamp)
         return pstamp, handshake_failed
@@ -349,16 +345,16 @@ class ExclusionCertifier:
         abort instead.
         """
         while True:
-            word = reader.sstamp.load()
-            if word_value(word) <= sstamp:
+            word = reader.sstamp
+            if word & VALUE_MASK <= sstamp:
                 return True
-            if is_locked(word):
+            if word & LOCK_BIT:
                 return False
-            if reader.sstamp.compare_and_swap(word, sstamp):
+            if reader.swap_sstamp(word, sstamp):
                 return True
 
     def _window_test(self, ctx: TransactionContext, store: Store, *,
-                     seal: bool = False) -> Verdict:
+                     seal: bool = False) -> str | None:
         pstamp = ctx.pstamp
         for mode in ctx.table_modes:
             if mode in (TableMode.IW, TableMode.W):
@@ -366,27 +362,26 @@ class ExclusionCertifier:
             if mode in (TableMode.R, TableMode.IR):
                 word = store.table_stamps.sstamp.load()
                 if word != INFINITY and not is_tid(word):
-                    ctx.sstamp.fold_min(word_value(word))
+                    ctx.fold_sstamp(word_value(word))
         ctx.pstamp = pstamp
         snap = self._snapshot_pstamp(ctx)
         if seal:
             # From here on no updater may lower our sstamp; one that tries
             # will fail its compare-and-swap and abort itself.
-            ctx.sstamp.fetch_or(LOCK_BIT)
-        pi = word_value(ctx.sstamp.load())
+            ctx.seal_sstamp()
+        pi = ctx.sstamp & VALUE_MASK
         # A watermark equal to the own commit stamp means no back-edge
         # successor exists, so no predecessor can fall inside the window.
         # The distinction only matters for empty-write-set commits, whose
         # reused snapshot stamps may tie with a predecessor's.
-        if pi < ctx.cstamp.load() and pi <= max(pstamp, snap):
-            cause = "safe_snapshot" if pi > pstamp else "ssn_exclusion"
-            return Verdict(True, cause)
-        return Verdict(False, None)
+        if pi < ctx.cstamp and pi <= max(pstamp, snap):
+            return "safe_snapshot" if pi > pstamp else "ssn_exclusion"
+        return None
 
     def table_commit_actions(self, ctx: TransactionContext, store: Store) -> None:
         """Post-commit table-stamp updates for the declared modes."""
         if ctx.table_modes & {TableMode.R, TableMode.IR}:
-            store.table_stamps.pstamp.fold_max(ctx.cstamp.load())
+            store.table_stamps.pstamp.fold_max(ctx.cstamp)
 
 
 class ExclusionViolation(Exception):

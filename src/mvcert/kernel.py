@@ -4,13 +4,15 @@ Everything here is shared, mutable state touched by up to 64 worker threads.
 The concurrency contract is deliberately narrow: under CPython the GIL makes
 single-attribute loads and stores atomic, and one module-wide lock, RMW_LOCK,
 serializes every read-modify-write cycle of a cross-thread word; all waiting
-is bounded spinning.  Record heads, the table stamps, the clock, the tid
-sequence and the transaction contexts hold their words in AtomicCells (plain
-load/store plus locked fetch-add, fetch-or, compare-and-swap).  Version
-stamps and reader bits are plain slots of the version itself, whose
-read-modify-writes are VersionMeta methods under the same lock (store.py).
-The lock is not reentrant, so no read-modify-write may run another while it
-holds the lock.
+is bounded spinning.  Shared words are plain slots of the object that owns
+them: a transaction's status, cstamp and sstamp here, a version's stamps and
+reader bits in store.py.  Their read-modify-writes are methods of that owner
+that run under RMW_LOCK (the status compare-and-swap, the sstamp min-fold,
+the seal and the handshake's sstamp compare-and-swap for a transaction).
+Only record heads, the table stamps, the clock, the tid sequence and the
+SSI inbound flags keep AtomicCells (plain load/store plus locked fetch-add,
+fetch-or, compare-and-swap).  The lock is not reentrant, so no
+read-modify-write may run another while it holds the lock.
 
 Stamp words are 64-bit integers with a fixed layout:
 
@@ -21,6 +23,8 @@ Stamp words are 64-bit integers with a fixed layout:
 Timestamp value 0 is reserved as "invalid"; the global clock never issues it.
 The +infinity sentinel used for successor stamps is the largest representable
 timestamp value, which preserves min() semantics without special cases.
+The operation path tests ``word & TID_TAG`` and masks with ``VALUE_MASK``
+inline; the helper functions below serve the cold paths and the tests.
 """
 
 from __future__ import annotations
@@ -85,18 +89,7 @@ def word_value(word: int) -> int:
     return word & VALUE_MASK
 
 
-def decode(word: int) -> tuple[str, int, bool]:
-    """(kind, value, locked) view of a stamp word, mostly for tests."""
-    kind = "tid" if is_tid(word) else "ts"
-    return kind, word_value(word), is_locked(word)
-
-
-def encode(kind: str, value: int, locked: bool = False) -> int:
-    word = tid_word(value) if kind == "tid" else ts_word(value)
-    return word | LOCK_BIT if locked else word
-
-
-# One lock for every read-modify-write, of cells and version words alike:
+# One lock for every read-modify-write, of cells and plain words alike:
 # under the GIL it gives the same atomicity as a lock per word, without
 # building one for each.  Not reentrant.
 RMW_LOCK = threading.Lock()
@@ -185,7 +178,7 @@ class GlobalClock:
 
     def current(self) -> int:
         """Most recently issued timestamp (0 before the first draw)."""
-        return self._cell.load()
+        return self._cell._value
 
 
 class Status(IntEnum):
@@ -221,15 +214,17 @@ class TransactionContext:
     """Per-transaction state, owned by one worker thread.
 
     Peers may read status, cstamp and sstamp, and may compare-and-swap
-    sstamp (the read-mostly handshake); everything else is private.
+    sstamp (the read-mostly handshake); everything else is private.  The
+    three shared words are plain slots whose read-modify-writes are the
+    methods below, under RMW_LOCK; cstamp is only ever stored.  reads and
+    writes are insertion-ordered dicts used as sets.
     """
 
     __slots__ = (
         "tid", "slot", "scheme", "read_only", "read_mostly", "snapshot_mode",
         "status", "cstamp", "pstamp", "sstamp", "begin_stamp", "start_stamp",
-        "reads", "writes", "_read_set", "_write_set",
-        "table_modes", "ssi", "tracked_reads", "untracked_reads",
-        "observed_violation", "abort_reason",
+        "reads", "writes", "table_modes", "ssi", "tracked_reads",
+        "untracked_reads", "observed_violation", "abort_reason",
     )
 
     def __init__(self, tid: int, slot: int, scheme: Scheme, *,
@@ -241,16 +236,14 @@ class TransactionContext:
         self.read_only = read_only
         self.read_mostly = read_mostly
         self.snapshot_mode = False
-        self.status = AtomicCell(Status.INFLIGHT)
-        self.cstamp = AtomicCell(0)
+        self.status = Status.INFLIGHT
+        self.cstamp = 0
         self.pstamp = 0
-        self.sstamp = AtomicCell(INFINITY)
+        self.sstamp = INFINITY
         self.begin_stamp = begin_stamp
         self.start_stamp = start_stamp
-        self.reads = []
-        self.writes = []
-        self._read_set = set()
-        self._write_set = set()
+        self.reads = {}
+        self.writes = {}
         self.table_modes = set()
         self.ssi = None
         self.tracked_reads = 0
@@ -258,28 +251,57 @@ class TransactionContext:
         self.observed_violation = False
         self.abort_reason = None
 
+    def swap_status(self, expected: Status, new: Status) -> bool:
+        with RMW_LOCK:
+            if self.status == expected:
+                self.status = new
+                return True
+            return False
+
+    def fold_sstamp(self, value: int) -> int:
+        """Lower sstamp to value if smaller; returns the new content.
+
+        Only the owning thread folds its own sstamp, and only before sealing,
+        so a locked word must never show up here.
+        """
+        with RMW_LOCK:
+            assert not is_locked(self.sstamp)
+            if value < self.sstamp:
+                self.sstamp = value
+            return self.sstamp
+
+    def seal_sstamp(self) -> None:
+        """Set the lock bit; from then on no handshake can lower sstamp."""
+        with RMW_LOCK:
+            self.sstamp |= LOCK_BIT
+
+    def swap_sstamp(self, expected: int, new: int) -> bool:
+        """Compare-and-swap of sstamp, for a peer's handshake."""
+        with RMW_LOCK:
+            if self.sstamp == expected:
+                self.sstamp = new
+                return True
+            return False
+
     def track_read(self, version) -> None:
-        if version not in self._read_set:
-            self._read_set.add(version)
-            self.reads.append(version)
+        if version not in self.reads:
+            self.reads[version] = None
             self.tracked_reads += 1
 
     def track_write(self, version) -> None:
-        if version not in self._write_set:
-            self._write_set.add(version)
-            self.writes.append(version)
+        self.writes[version] = None
 
     def has_written(self, version) -> bool:
-        return version in self._write_set
+        return version in self.writes
 
 
 def transition_status(ctx: TransactionContext, src: Status, dst: Status) -> None:
     """Atomically move ctx along a legal lifecycle edge."""
     if (src, dst) not in _LEGAL_EDGES:
         raise IllegalTransition("illegal status edge %s -> %s" % (src.name, dst.name))
-    if not ctx.status.compare_and_swap(src, dst):
+    if not ctx.swap_status(src, dst):
         raise IllegalTransition(
-            "status of %d is %s, expected %s" % (ctx.tid, Status(ctx.status.load()).name, src.name))
+            "status of %d is %s, expected %s" % (ctx.tid, ctx.status.name, src.name))
 
 
 class _Slot:

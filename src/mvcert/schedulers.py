@@ -35,7 +35,7 @@ from .certifier import (
     overwriter_outcome,
 )
 from .kernel import (
-    INFINITY, AtomicCell, GlobalClock, Scheme, Status, TableMode,
+    INFINITY, VALUE_MASK, AtomicCell, GlobalClock, Scheme, Status, TableMode,
     TransactionAborted, TransactionContext, TransactionTable, UsageError,
     is_tid, spin_until, transition_status, word_value,
 )
@@ -47,6 +47,12 @@ class CertifierMode(Enum):
     NONE = "none"
     SSN = "ssn"
     SSI = "ssi"
+
+
+# Enum members are slow to look up as class attributes on CPython 3.11;
+# the operation path compares against these module constants instead.
+_INFLIGHT = Status.INFLIGHT
+_SSN, _SSI = CertifierMode.SSN, CertifierMode.SSI
 
 
 IN_RW = 1       # has an inbound read anti-dependency
@@ -138,11 +144,12 @@ class Engine:
         self._abort_cleanup(ctx, reason, Status.INFLIGHT)
 
     def _abort_cleanup(self, ctx, reason, from_status) -> None:
+        """Abort ctx and undo its effects; reason None writes no trace line."""
         transition_status(ctx, from_status, Status.ABORTED)
         self.store.rollback(ctx)
         self._clear_reader_bits(ctx)
         ctx.abort_reason = reason
-        if self.trace:
+        if self.trace and reason is not None:
             self.trace.abort(ctx.tid, ctx.slot, reason)
         self.table.clear(ctx.slot)
 
@@ -152,65 +159,71 @@ class Engine:
 
     def _clear_reader_bits(self, ctx) -> None:
         # Untracked reads deliberately never clear their bits.
-        for version in ctx.reads:
-            self.store.clear_reader(version, ctx.slot)
+        if ctx.reads:
+            self.store.clear_readers(ctx.reads, ctx.slot)
 
     def _require_inflight(self, ctx) -> None:
-        if ctx.status.load() != Status.INFLIGHT:
+        if ctx.status != _INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
 
     # ---------------- forward processing ----------------
 
     def read(self, ctx: TransactionContext, key: int, *,
              require_data: bool = False):
-        self._require_inflight(ctx)
-        record = self.store.record(key)
-        version = self.store.visible_version(ctx, record,
-                                             require_data=require_data)
+        if ctx.status != _INFLIGHT:
+            raise UsageError("transaction %d is not in flight" % ctx.tid)
+        store = self.store
+        version = store.visible_version(ctx, store.records[key],
+                                        require_data=require_data)
         own = version.creator_tid == ctx.tid
         if not own and not ctx.snapshot_mode:
-            self.store.register_reader(version, ctx.slot)
-        cstamp = 0 if own else self.store.creation_stamp(version)
+            store.register_reader(version, ctx.slot)
+        cstamp = 0 if own else store.creation_stamp(version)
         if self.trace:
             self.trace.read(ctx.tid, ctx.slot, key, version.creator_tid, cstamp)
         if own or ctx.snapshot_mode:
             return version.payload
-        if self.certifier is CertifierMode.SSN:
+        certifier = self.certifier
+        if certifier is _SSN:
             try:
                 self.cert.on_read(ctx, version, cstamp)
             except ExclusionViolation as violation:
                 self._fail(ctx, violation.cause)
-        elif self.certifier is CertifierMode.SSI:
+        elif certifier is _SSI:
             self._ssi_on_read(ctx, version)
         else:
             ctx.track_read(version)
         return version.payload
 
     def write(self, ctx: TransactionContext, key: int, payload=None) -> None:
-        self._require_inflight(ctx)
+        if ctx.status != _INFLIGHT:
+            raise UsageError("transaction %d is not in flight" % ctx.tid)
         if ctx.snapshot_mode:
             raise UsageError("snapshot queries are read-only")
         if payload is None:
             payload = ctx.tid
-        record = self.store.record(key)
         try:
-            version = self.store.install_version(ctx, record, payload)
+            version = self.store.install_version(
+                ctx, self.store.records[key], payload)
         except WriteConflict:
             self._fail(ctx, "cc_conflict")
-        fresh = not ctx.has_written(version)
         if self.trace:
-            self.trace.write(ctx.tid, ctx.slot, key,
-                             version.prev.creator_tid,
-                             version.prev.committed_stamp())
-        if self.certifier is CertifierMode.SSN:
+            prev = version.prev
+            self.trace.write(ctx.tid, ctx.slot, key, prev.creator_tid,
+                             prev.cstamp & VALUE_MASK)
+        certifier = self.certifier
+        if certifier is _SSN:
             try:
                 self.cert.on_write(ctx, version)
             except ExclusionViolation as violation:
                 self._fail(ctx, violation.cause)
+        elif certifier is _SSI:
+            fresh = not ctx.has_written(version)
+            ctx.track_write(version)
+            if fresh:
+                self._ssi_on_write(ctx, version)
         else:
             ctx.track_write(version)
-            if fresh and self.certifier is CertifierMode.SSI:
-                self._ssi_on_write(ctx, version)
 
     def scan(self, ctx: TransactionContext) -> list:
         """Full-table scan under the table-granularity read mode.
@@ -261,21 +274,38 @@ class Engine:
         Raises TransactionAborted when certification refuses the commit.
         """
         self._require_inflight(ctx)
-        if ctx.snapshot_mode:
-            return self._commit_snapshot_query(ctx)
-        if self.certifier is CertifierMode.SSN:
-            if self.serial_commit:
-                with self.cert.latch:
-                    return self._commit_certified(ctx, serial=True)
-            return self._commit_certified(ctx, serial=False)
-        if self.certifier is CertifierMode.SSI:
-            return self._commit_ssi(ctx)
-        return self._commit_plain(ctx)
+        if (self.serial_commit and self.certifier is _SSN
+                and not ctx.snapshot_mode):
+            with self.cert.latch:
+                return self._commit(ctx)
+        return self._commit(ctx)
+
+    def _commit(self, ctx) -> int:
+        """Pre-commit and post-commit, failure-atomic up to COMMITTED.
+
+        Any exception raised between the COMMITTING and the COMMITTED
+        transitions, other than a certifier's own abort (which has already
+        cleaned up), aborts the transaction the way a refused commit does,
+        then propagates.  No abort line is traced: the trace format has no
+        reason for it, and the oracle ignores unfinished transactions.
+        """
+        try:
+            if ctx.snapshot_mode:
+                return self._commit_snapshot_query(ctx)
+            if self.certifier is _SSN:
+                return self._commit_certified(ctx, serial=self.serial_commit)
+            if self.certifier is _SSI:
+                return self._commit_ssi(ctx)
+            return self._commit_plain(ctx)
+        except BaseException:
+            if ctx.status == Status.COMMITTING:
+                self._abort_cleanup(ctx, None, Status.COMMITTING)
+            raise
 
     def _commit_snapshot_query(self, ctx) -> int:
         stamp = ctx.begin_stamp
         transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
-        ctx.cstamp.store(stamp)
+        ctx.cstamp = stamp
         transition_status(ctx, Status.COMMITTING, Status.COMMITTED)
         if self.trace:
             self.trace.commit(ctx.tid, ctx.slot, stamp)
@@ -285,12 +315,12 @@ class Engine:
     def _commit_certified(self, ctx, *, serial: bool) -> int:
         cstamp = self.cert.acquire_commit_stamp(ctx)
         if serial:
-            verdict = self.cert.certify_serial(ctx, self.store)
+            cause = self.cert.certify_serial(ctx, self.store)
         else:
-            verdict = self.cert.certify_parallel(ctx, self.store)
-        if verdict.violation:
+            cause = self.cert.certify_parallel(ctx, self.store)
+        if cause is not None:
             if not self.observe:
-                self._fail(ctx, verdict.cause, Status.COMMITTING)
+                self._fail(ctx, cause, Status.COMMITTING)
             ctx.observed_violation = True
         self._finish_commit(ctx, cstamp)
         self.cert.table_commit_actions(ctx, self.store)
@@ -299,17 +329,17 @@ class Engine:
     def _commit_ssi(self, ctx) -> int:
         transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
         cstamp = self.clock.next()
-        ctx.cstamp.store(cstamp)
+        ctx.cstamp = cstamp
         self._ssi_pre_commit(ctx, cstamp)
-        ctx.sstamp.fold_min(cstamp)
+        ctx.fold_sstamp(cstamp)
         self._finish_commit(ctx, cstamp)
         return cstamp
 
     def _commit_plain(self, ctx) -> int:
         transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
         cstamp = self.clock.next()
-        ctx.cstamp.store(cstamp)
-        ctx.sstamp.fold_min(cstamp)
+        ctx.cstamp = cstamp
+        ctx.fold_sstamp(cstamp)
         self._finish_commit(ctx, cstamp)
         return cstamp
 
@@ -356,8 +386,8 @@ class Engine:
         if peer.ssi is None or peer is ctx:
             return
         seen = peer.ssi.in_rw.fetch_or(IN_RW)
-        if seen & DECIDED and peer.ssi.committed_pivot(peer.cstamp.load()):
-            self._fail(ctx, "ssi_dangerous", Status(ctx.status.load()))
+        if seen & DECIDED and peer.ssi.committed_pivot(peer.cstamp):
+            self._fail(ctx, "ssi_dangerous", ctx.status)
 
     def _ssi_committed_overwrite(self, ctx, version) -> None:
         mark = version.ssi_mark
@@ -368,7 +398,7 @@ class Engine:
                 and overwriter_partner < overwriter_cstamp):
             # The overwriter is a committed pivot; this read closes the
             # structure and the reader is the only one left to stop.
-            self._fail(ctx, "ssi_dangerous", Status(ctx.status.load()))
+            self._fail(ctx, "ssi_dangerous", ctx.status)
 
     def _ssi_on_write(self, ctx, version) -> None:
         prev = version.prev
@@ -385,9 +415,9 @@ class Engine:
                 self._ssi_committed_overwrite(ctx, version)
             elif kind == "committed":
                 peer = value
-                ctx.ssi.fold_partner(peer.cstamp.load())
+                ctx.ssi.fold_partner(peer.cstamp)
                 if (peer.ssi is not None
-                        and peer.ssi.committed_pivot(peer.cstamp.load())):
+                        and peer.ssi.committed_pivot(peer.cstamp)):
                     self._fail(ctx, "ssi_dangerous", Status.COMMITTING)
             else:  # pending
                 self._ssi_mark_inbound(ctx, value)

@@ -13,20 +13,27 @@ rises once the version is committed.  Aborts restore the overwritten
 version's sstamp to +inf before unlinking the dead head, so no reader can
 observe a dangling overwriter tid.
 
-A version's stamps and reader bitmap are plain slots: loads and stores are
-attribute accesses, atomic under the GIL.  Their read-modify-writes (the
-sstamp claim and its restore, the pstamp raise, setting and clearing a
-reader bit) are VersionMeta methods that run under kernel.RMW_LOCK, the
-lock every AtomicCell shares.  Record heads and the table stamps stay
-AtomicCells.
+A version's stamps and reader bitmap are plain slots, like a transaction's
+words: loads and stores are attribute accesses, atomic under the GIL.  Their
+read-modify-writes run under kernel.RMW_LOCK, the lock every AtomicCell
+shares: the sstamp claim and its restore (VersionMeta.swap_sstamp), setting
+a reader bit (Store.register_reader), and two batches that take the lock
+once per transaction, not once per version: a committer's pstamp raise over
+its whole read set (Store.finalize_commit) and clearing its reader bits
+(Store.clear_readers).  Record heads and the table stamps stay AtomicCells.
 """
 
 from __future__ import annotations
 
 from .kernel import (
-    INFINITY, RMW_LOCK, AtomicCell, Scheme, Status, TransactionContext,
-    is_tid, spin_until, tid_word, ts_word, word_value,
+    INFINITY, RMW_LOCK, TID_TAG, VALUE_MASK, AtomicCell, Scheme, Status,
+    TransactionContext, is_tid, spin_until, ts_word, word_value,
 )
+
+# Enum members are slow to look up as class attributes on CPython 3.11;
+# the read path compares against these module constants instead.
+_SI, _RC = Scheme.SI, Scheme.RC
+_COMMITTING, _COMMITTED = Status.COMMITTING, Status.COMMITTED
 
 
 class WriteConflict(Exception):
@@ -56,9 +63,6 @@ class VersionMeta:
         self.payload = payload
         self.ssi_mark = None  # (cstamp, out_rw, partner_commit) after an SSI commit
 
-    def is_committed(self) -> bool:
-        return not is_tid(self.cstamp)
-
     def committed_stamp(self) -> int:
         word = self.cstamp
         assert not is_tid(word)
@@ -71,19 +75,6 @@ class VersionMeta:
                 self.sstamp = new
                 return True
             return False
-
-    def raise_pstamp(self, stamp: int) -> None:
-        with RMW_LOCK:
-            if stamp > self.pstamp:
-                self.pstamp = stamp
-
-    def set_reader(self, slot: int) -> None:
-        with RMW_LOCK:
-            self.readers |= 1 << slot
-
-    def clear_reader(self, slot: int) -> None:
-        with RMW_LOCK:
-            self.readers &= ~(1 << slot)
 
 
 class Record:
@@ -151,31 +142,30 @@ class Store:
         version = record.head.load()
         while version is not None:
             word = version.cstamp
-            if is_tid(word):
-                if word_value(word) == ctx.tid:
+            if word & TID_TAG:
+                if word & VALUE_MASK == ctx.tid:
                     break  # read-own-writes
-                creator = self.table.get(word_value(word)) if self.table else None
+                creator = self.table.get(word & VALUE_MASK) if self.table else None
                 if creator is None:
                     # Creator concluded: a committed creator finalized the
                     # stamp before vacating its slot, so a still-tagged stamp
                     # marks an unlinked orphan from an abort.
-                    if is_tid(version.cstamp):
+                    if version.cstamp & TID_TAG:
                         version = version.prev
                     continue
-                status = creator.status.load()
-                if status == Status.COMMITTING and \
-                        (ctx.scheme is Scheme.SI or ctx.snapshot_mode):
-                    spin_until(
-                        lambda: creator.status.load() != Status.COMMITTING,
-                        "creator %d verdict" % creator.tid)
-                    status = creator.status.load()
-                if status != Status.COMMITTED:
+                status = creator.status
+                if status == _COMMITTING and \
+                        (ctx.scheme is _SI or ctx.snapshot_mode):
+                    spin_until(lambda: creator.status != _COMMITTING,
+                               "creator %d verdict" % creator.tid)
+                    status = creator.status
+                if status != _COMMITTED:
                     version = version.prev
                     continue
-                stamp = creator.cstamp.load()
+                stamp = creator.cstamp
             else:
-                stamp = word_value(word)
-            if ctx.scheme is Scheme.RC and not ctx.snapshot_mode:
+                stamp = word & VALUE_MASK
+            if ctx.scheme is _RC and not ctx.snapshot_mode:
                 break
             if stamp <= ctx.begin_stamp:
                 break
@@ -194,11 +184,11 @@ class Store:
         still holds it.
         """
         word = version.cstamp
-        if not is_tid(word):
-            return word_value(word)
-        creator = self.table.get(word_value(word)) if self.table else None
-        if creator is not None and creator.status.load() == Status.COMMITTED:
-            stamp = creator.cstamp.load()
+        if not word & TID_TAG:
+            return word & VALUE_MASK
+        creator = self.table.get(word & VALUE_MASK) if self.table else None
+        if creator is not None and creator.status == _COMMITTED:
+            stamp = creator.cstamp
             if stamp:
                 return stamp
         # The creator left its slot after the first load, so it has already
@@ -217,43 +207,52 @@ class Store:
         """
         head = record.head.load()
         head_word = head.cstamp
-        if is_tid(head_word):
-            if word_value(head_word) == ctx.tid:
+        if head_word & TID_TAG:
+            if head_word & VALUE_MASK == ctx.tid:
                 head.payload = payload
                 return head
             raise WriteConflict("uncommitted")
-        if ctx.scheme is Scheme.SI and word_value(head_word) > ctx.begin_stamp:
+        if ctx.scheme is _SI and head_word & VALUE_MASK > ctx.begin_stamp:
             raise WriteConflict("skew")
-        version = VersionMeta(record, ctx.tid, tid_word(ctx.tid), head, payload)
+        claim = TID_TAG | ctx.tid
+        version = VersionMeta(record, ctx.tid, claim, head, payload)
         if not record.head.compare_and_swap(head, version):
             # Another writer won the append race; treat like any other
             # write-write conflict rather than blocking.
             raise WriteConflict("uncommitted")
-        swapped = head.swap_sstamp(INFINITY, tid_word(ctx.tid))
+        swapped = head.swap_sstamp(INFINITY, claim)
         assert swapped, "overwritten head carried a foreign overwriter tid"
         return version
 
     def register_reader(self, version: VersionMeta, slot: int) -> None:
-        version.set_reader(slot)
+        with RMW_LOCK:
+            version.readers |= 1 << slot
 
-    def clear_reader(self, version: VersionMeta, slot: int) -> None:
-        version.clear_reader(slot)
+    def clear_readers(self, versions, slot: int) -> None:
+        """Clear slot's bit in every version's reader bitmap, in one lock."""
+        keep = ~(1 << slot)
+        with RMW_LOCK:
+            for version in versions:
+                version.readers &= keep
 
     def finalize_commit(self, ctx: TransactionContext) -> None:
         """Post-commit stamp propagation for a committed transaction.
 
-        Raises the access stamp of every tracked read, then finalizes each
-        written version: the overwritten predecessor's sstamp becomes the
-        committer's successor watermark (tid tag cleared), and the new version
-        gets its creation and access stamps.  Reads the transaction itself
-        overwrote are skipped; their stamps die with the overwrite.
+        Raises the access stamp of every tracked read, all under one hold of
+        the lock, then finalizes each written version: the overwritten
+        predecessor's sstamp becomes the committer's successor watermark (tid
+        tag cleared), and the new version gets its creation and access
+        stamps.  Reads the transaction itself overwrote are skipped; their
+        stamps die with the overwrite.
         """
-        cstamp = ctx.cstamp.load()
-        own = tid_word(ctx.tid)
-        for version in ctx.reads:
-            if version.sstamp != own:
-                version.raise_pstamp(cstamp)
-        pi = word_value(ctx.sstamp.load())
+        cstamp = ctx.cstamp
+        if ctx.reads:
+            own = TID_TAG | ctx.tid
+            with RMW_LOCK:
+                for version in ctx.reads:
+                    if version.sstamp != own and cstamp > version.pstamp:
+                        version.pstamp = cstamp
+        pi = ctx.sstamp & VALUE_MASK
         for version in ctx.writes:
             if ctx.ssi is not None:
                 version.prev.ssi_mark = (
@@ -269,7 +268,7 @@ class Store:
         a concurrent reader never sees an overwriter tid with no overwriter.
         """
         for version in reversed(ctx.writes):
-            restored = version.prev.swap_sstamp(tid_word(ctx.tid), INFINITY)
+            restored = version.prev.swap_sstamp(TID_TAG | ctx.tid, INFINITY)
             assert restored, "aborting overwriter lost its sstamp claim"
             unlinked = version.record.head.compare_and_swap(version, version.prev)
             assert unlinked, "aborted head was overwritten concurrently"

@@ -44,6 +44,9 @@ class TraceEvent(NamedTuple):
     reason: str | None = None
 
 
+_new = tuple.__new__
+
+
 class MalformedTrace(ValueError):
     def __init__(self, index: int, message: str):
         super().__init__("event %d: %s" % (index, message))
@@ -51,33 +54,40 @@ class MalformedTrace(ValueError):
 
 
 class TraceLog:
-    """Per-thread append-only buffers with a shared emit sequence."""
+    """Per-thread append-only buffers with a shared emit sequence.
+
+    Each emit builds its TraceEvent with tuple.__new__ on all nine fields,
+    which skips the named tuple's generated constructor and its defaults.
+    """
 
     def __init__(self):
         self._buffers = [[] for _ in range(MAX_WORKERS)]
         self._seq = itertools.count()
 
     def begin(self, tid, thread):
-        self._emit(thread, TraceEvent(next(self._seq), "begin", tid, thread))
+        self._buffers[thread].append(_new(TraceEvent, (
+            next(self._seq), "begin", tid, thread,
+            None, None, None, None, None)))
 
     def read(self, tid, thread, key, ver_creator, ver_cstamp):
-        self._emit(thread, TraceEvent(next(self._seq), "read", tid, thread,
-                                      key, ver_creator, ver_cstamp))
+        self._buffers[thread].append(_new(TraceEvent, (
+            next(self._seq), "read", tid, thread,
+            key, ver_creator, ver_cstamp, None, None)))
 
     def write(self, tid, thread, key, prev_creator, prev_cstamp):
-        self._emit(thread, TraceEvent(next(self._seq), "write", tid, thread,
-                                      key, prev_creator, prev_cstamp))
+        self._buffers[thread].append(_new(TraceEvent, (
+            next(self._seq), "write", tid, thread,
+            key, prev_creator, prev_cstamp, None, None)))
 
     def commit(self, tid, thread, cstamp):
-        self._emit(thread, TraceEvent(next(self._seq), "commit", tid, thread,
-                                      cstamp=cstamp))
+        self._buffers[thread].append(_new(TraceEvent, (
+            next(self._seq), "commit", tid, thread,
+            None, None, None, cstamp, None)))
 
     def abort(self, tid, thread, reason):
-        self._emit(thread, TraceEvent(next(self._seq), "abort", tid, thread,
-                                      reason=reason))
-
-    def _emit(self, thread, event):
-        self._buffers[thread].append(event)
+        self._buffers[thread].append(_new(TraceEvent, (
+            next(self._seq), "abort", tid, thread,
+            None, None, None, None, reason)))
 
     def merged(self) -> list[TraceEvent]:
         events = [event for buffer in self._buffers for event in buffer]

@@ -175,7 +175,7 @@ def test_criterion_05_safe_retry():
     engine.read(retry, 1)
     engine.write(retry, 0)
     engine.commit(retry)
-    assert retry.status.load() == Status.COMMITTED
+    assert retry.status == Status.COMMITTED
 
     graph = build_graph(engine.trace.merged())
     assert EDGE_RW not in graph.edge_kinds(retry.tid, successor)

@@ -9,7 +9,7 @@ from mvcert import (
     build_graph, check_trace, find_violations, replay_scripted,
     verify_exclusion,
 )
-from mvcert.kernel import LOCK_BIT, Status, TableMode, is_locked, word_value
+from mvcert.kernel import Status, TableMode, is_locked, word_value
 from mvcert.trace import TraceLog
 
 SI, RC = Scheme.SI, Scheme.RC
@@ -66,8 +66,8 @@ class TestReadWriteHooks:
         reader = engine.begin(0)                   # snapshot 2, reads "y"
         reader.begin_stamp = 1                     # rewind to see "x"
         engine.read(reader, 0)
-        assert word_value(reader.sstamp.load()) == 2
-        assert reader.reads == []
+        assert word_value(reader.sstamp) == 2
+        assert not reader.reads
 
     def test_forced_window_violation_aborts_at_read(self):
         # reader with pstamp already at the overwriter's watermark
@@ -99,7 +99,7 @@ class TestReadWriteHooks:
         engine.commit(reader)                      # raises pstamp of "x"
         writer = engine.begin(0)
         engine.write(writer, 0, "y")
-        assert writer.pstamp == reader.cstamp.load()
+        assert writer.pstamp == reader.cstamp
 
     def test_own_overwritten_read_is_skipped_at_commit(self):
         # read then overwrite the same version: the read must not turn into
@@ -112,7 +112,7 @@ class TestReadWriteHooks:
         engine.read(ctx, 0)
         engine.write(ctx, 0, "y")
         engine.commit(ctx)
-        assert ctx.status.load() == Status.COMMITTED
+        assert ctx.status == Status.COMMITTED
 
 
 class TestScriptedCommits:
@@ -182,7 +182,7 @@ class TestSafeRetry:
         engine.read(retry, 1)
         engine.write(retry, 0, "x2")
         engine.commit(retry)
-        assert retry.status.load() == Status.COMMITTED
+        assert retry.status == Status.COMMITTED
 
         graph = build_graph(engine.trace.merged())
         assert "r:w" not in graph.edge_kinds(retry.tid, successor)
@@ -218,7 +218,7 @@ class TestSafeSnapshots:
         engine.take_safe_snapshot()
         engine.write(writer, 0, "a1")                 # pre-snapshot version
         engine.commit(writer)                         # sstamp infinite: fine
-        assert writer.status.load() == Status.COMMITTED
+        assert writer.status == Status.COMMITTED
 
     def test_snapshot_reader_skips_certification_and_commits(self):
         engine = Engine(4, SI, SSN, trace=TraceLog())
@@ -229,7 +229,7 @@ class TestSafeSnapshots:
         query = engine.begin(1, read_only=True)
         assert query.snapshot_mode
         assert engine.read(query, 0) == "a0"
-        assert query.reads == [] and query.tracked_reads == 0
+        assert not query.reads and query.tracked_reads == 0
         assert engine.commit(query) == snap.stamp
         assert check_trace(engine.trace.merged()).clean
 
@@ -306,7 +306,7 @@ class TestReadMostly:
         assert version.readers & (1 << 3)
         engine.commit(reader)
         assert version.readers & (1 << 3)          # never cleared
-        assert engine.table.last_cstamp(3) == reader.cstamp.load()
+        assert engine.table.last_cstamp(3) == reader.cstamp
 
     def test_handshake_lowers_unsealed_reader_sstamp(self):
         engine = Engine(4, SI, SSN, read_mostly_threshold=2)
@@ -322,7 +322,7 @@ class TestReadMostly:
         updater = engine.begin(2)
         engine.write(updater, 0, "y")
         engine.commit(updater)
-        assert word_value(reader.sstamp.load()) == updater.cstamp.load()
+        assert word_value(reader.sstamp) == updater.cstamp
         # a later reader of record 1 raises its access stamp past the
         # handshake value, so the read-mostly transaction's overwrite of
         # record 1 collides with its lowered watermark
@@ -343,14 +343,14 @@ class TestReadMostly:
             engine.clock.next()
         reader = engine.begin(1, read_mostly=True)
         engine.read(reader, 0)
-        reader.sstamp.fetch_or(LOCK_BIT)           # reader seals first
+        reader.seal_sstamp()                       # reader seals first
         updater = engine.begin(2)
         engine.write(updater, 0, "y")
         with pytest.raises(TransactionAborted) as failure:
             engine.commit(updater)
         assert failure.value.reason == "ssn_exclusion"
-        assert is_locked(reader.sstamp.load())
-        assert word_value(reader.sstamp.load()) == INFINITY
+        assert is_locked(reader.sstamp)
+        assert word_value(reader.sstamp) == INFINITY
 
     @pytest.mark.parametrize("serial", [True, False])
     def test_handshake_pushes_the_updater_watermark(self, serial):
@@ -376,7 +376,7 @@ class TestReadMostly:
         assert reader.untracked_reads == 1
         engine.write(updater, x)
         engine.commit(updater)
-        assert word_value(reader.sstamp.load()) == writer.cstamp.load()
+        assert word_value(reader.sstamp) == writer.cstamp
         with pytest.raises(TransactionAborted) as failure:
             engine.commit(reader)
         assert failure.value.reason == "ssn_exclusion"
@@ -393,7 +393,7 @@ class TestReadMostly:
         engine.read(reader, 0)
         engine.commit(reader)                      # publishes last_cstamp
         published = engine.table.last_cstamp(1)
-        assert published == reader.cstamp.load()
+        assert published == reader.cstamp
         updater = engine.begin(2)
         engine.write(updater, 0, "y")
         engine.commit(updater)
@@ -423,8 +423,8 @@ class TestTableModes:
         scanner = engine.begin(0)
         assert engine.scan(scanner) == [None] * 4
         engine.commit(scanner)
-        assert scanner.status.load() == Status.COMMITTED
-        assert engine.store.table_stamps.pstamp.load() == scanner.cstamp.load()
+        assert scanner.status == Status.COMMITTED
+        assert engine.store.table_stamps.pstamp.load() == scanner.cstamp
 
     def test_point_update_without_scans_sees_zero_table_pstamp(self):
         engine = Engine(4, SI, SSN)
@@ -443,7 +443,7 @@ class TestTableModes:
         engine.declare_table_mode(inserter, TableMode.IW, TableMode.W)
         engine.write(inserter, 3, "row")
         engine.commit(inserter)
-        assert inserter.pstamp >= scanner.cstamp.load()
+        assert inserter.pstamp >= scanner.cstamp
 
 
 class TestParallelFinalization:
@@ -462,14 +462,14 @@ class TestParallelFinalization:
         from mvcert.kernel import transition_status
         transition_status(overwriter, Status.INFLIGHT, Status.COMMITTING)
         watermark = engine.clock.next()
-        overwriter.cstamp.store(watermark)
-        overwriter.sstamp.fold_min(watermark)
+        overwriter.cstamp = watermark
+        overwriter.fold_sstamp(watermark)
         transition_status(overwriter, Status.COMMITTING, Status.COMMITTED)
         # post-commit withheld: the version still carries the tid claim, so
         # the reader's pre-commit must resolve it through the table
         engine.commit(reader)
-        assert reader.status.load() == Status.COMMITTED
-        assert word_value(reader.sstamp.load()) == watermark
+        assert reader.status == Status.COMMITTED
+        assert word_value(reader.sstamp) == watermark
 
     def test_later_stamp_reader_is_not_waited_for(self):
         # a reader that drew a larger commit stamp cannot be a predecessor;
@@ -484,11 +484,11 @@ class TestParallelFinalization:
         engine.read(reader, 0)
         from mvcert.kernel import transition_status
         transition_status(reader, Status.INFLIGHT, Status.COMMITTING)
-        reader.cstamp.store(10 ** 6)               # far in the future
+        reader.cstamp = 10 ** 6                    # far in the future
         transition_status(reader, Status.COMMITTING, Status.COMMITTED)
         engine.commit(updater)
         assert updater.pstamp < 10 ** 6
-        assert updater.status.load() == Status.COMMITTED
+        assert updater.status == Status.COMMITTED
 
 
 class TestWatermarkMonotonicity:
@@ -511,9 +511,9 @@ class TestWatermarkMonotonicity:
                     else:
                         engine.write(ctx, key)
                     assert ctx.pstamp >= low
-                    assert word_value(ctx.sstamp.load()) <= high
+                    assert word_value(ctx.sstamp) <= high
                     low = ctx.pstamp
-                    high = word_value(ctx.sstamp.load())
+                    high = word_value(ctx.sstamp)
                 engine.commit(ctx)
             except TransactionAborted:
                 continue

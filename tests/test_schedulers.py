@@ -3,8 +3,9 @@
 import pytest
 
 from mvcert import (
-    CertifierMode, ClientGroup, Engine, Scheme, TransactionAborted,
-    UsageError, WorkloadConfig, check_trace, replay_scripted, run_bench,
+    INFINITY, CertifierMode, ClientGroup, Engine, ExclusionCertifier, Scheme,
+    TransactionAborted, UsageError, WorkloadConfig, check_trace,
+    replay_scripted, run_bench,
 )
 from mvcert.kernel import Status
 from mvcert.trace import TraceLog
@@ -75,7 +76,7 @@ class TestSchemeDispatch:
         engine.commit(writer)
         reader = engine.begin(0)
         engine.read(reader, 0)
-        assert reader.pstamp == writer.cstamp.load()
+        assert reader.pstamp == writer.cstamp
 
     def test_ssi_requires_si(self):
         with pytest.raises(UsageError):
@@ -114,7 +115,7 @@ class TestSsiCertifier:
         engine.write(overwriter, 0)
         engine.commit(overwriter)
         engine.commit(reader)  # out_rw only: no structure
-        assert reader.status.load() == Status.COMMITTED
+        assert reader.status == Status.COMMITTED
         assert reader.ssi.out_rw
 
     def test_read_only_skips_the_commit_check(self):
@@ -126,7 +127,7 @@ class TestSsiCertifier:
         engine.commit(overwriter)
         query.ssi.in_rw.fetch_or(1)  # even with a (spurious) inbound flag
         engine.commit(query)
-        assert query.status.load() == Status.COMMITTED
+        assert query.status == Status.COMMITTED
 
     def test_late_reader_of_committed_pivot_aborts_itself(self):
         # pivot commits while the structure's tail reader is still in flight
@@ -182,8 +183,46 @@ class TestPlainSchemes:
         ctx = engine.begin(0)
         engine.write(ctx, 0, "gone")
         engine.abort(ctx)
-        assert ctx.status.load() == Status.ABORTED
+        assert ctx.status == Status.ABORTED
         fresh = engine.begin(0)
         assert engine.read(fresh, 0) is None
         events = engine.trace.merged()
         assert [e.kind for e in events if e.tid == ctx.tid][-1] == "abort"
+
+
+class TestFailureAtomicity:
+    @pytest.mark.parametrize("serial", [False, True])
+    def test_error_inside_pre_commit_rolls_back_and_frees_the_slot(
+            self, monkeypatch, serial):
+        engine = Engine(2, SI, SSN, serial_commit=serial, trace=TraceLog())
+        seed = engine.begin(0)
+        engine.write(seed, 1, "old")
+        engine.commit(seed)
+        old = engine.store.record(1).head.load()
+        read = engine.store.record(0).head.load()
+        ctx = engine.begin(0)
+        engine.read(ctx, 0)
+        engine.write(ctx, 1, "doomed")
+
+        def explode(self, ctx, store):
+            raise RuntimeError("injected")
+
+        name = "certify_serial" if serial else "certify_parallel"
+        monkeypatch.setattr(ExclusionCertifier, name, explode)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.commit(ctx)
+        monkeypatch.undo()
+
+        assert ctx.status == Status.ABORTED
+        assert engine.store.record(1).head.load() is old
+        assert old.sstamp == INFINITY
+        assert read.readers == 0
+        later = engine.begin(0)                 # the slot is free again
+        engine.write(later, 1, "new")
+        engine.commit(later)
+        assert engine.read(engine.begin(1), 1) == "new"
+        events = engine.trace.merged()
+        # No abort line: the trace format has no reason for this case.
+        assert [e.kind for e in events if e.tid == ctx.tid] == [
+            "begin", "read", "write"]
+        assert check_trace(events).clean

@@ -21,8 +21,8 @@ def committed_version(store, record, ctx, stamp, payload):
     version = store.install_version(ctx, record, payload)
     ctx.track_write(version)
     transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
-    ctx.cstamp.store(stamp)
-    ctx.sstamp.fold_min(stamp)
+    ctx.cstamp = stamp
+    ctx.fold_sstamp(stamp)
     transition_status(ctx, Status.COMMITTING, Status.COMMITTED)
     store.finalize_commit(ctx)
     store.table.clear(ctx.slot)
@@ -97,7 +97,7 @@ class TestVisibility:
         version = store.install_version(writer, record, "v9")
         writer.track_write(version)
         transition_status(writer, Status.INFLIGHT, Status.COMMITTING)
-        writer.cstamp.store(9)
+        writer.cstamp = 9
         transition_status(writer, Status.COMMITTING, Status.COMMITTED)
         # post-commit has not run yet: cstamp still carries the tid, but the
         # stamp resolves through the creator's context
@@ -160,10 +160,14 @@ class TestReaders:
 
     def test_register_is_idempotent_and_clear_removes(self, store):
         version = store.record(0).head.load()
+        other = store.record(1).head.load()
         store.register_reader(version, 5)
         store.register_reader(version, 5)
-        store.clear_reader(version, 5)
+        store.register_reader(other, 5)
+        store.register_reader(other, 2)
+        store.clear_readers([version, other], 5)
         assert version.readers == 0
+        assert other.readers == 1 << 2
 
 
 class TestFinalizeAndRollback:
@@ -174,8 +178,8 @@ class TestFinalizeAndRollback:
         reader = make_ctx(table, 0, Scheme.RC)
         reader.track_read(version)
         transition_status(reader, Status.INFLIGHT, Status.COMMITTING)
-        reader.cstamp.store(9)
-        reader.sstamp.fold_min(9)
+        reader.cstamp = 9
+        reader.fold_sstamp(9)
         transition_status(reader, Status.COMMITTING, Status.COMMITTED)
         store.finalize_commit(reader)
         assert version.pstamp == 9
@@ -211,8 +215,8 @@ class TestFinalizeAndRollback:
         version = store.install_version(ctx, record, "y")
         ctx.track_write(version)
         transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
-        ctx.cstamp.store(8)
-        ctx.sstamp.fold_min(8)
+        ctx.cstamp = 8
+        ctx.fold_sstamp(8)
         transition_status(ctx, Status.COMMITTING, Status.COMMITTED)
         store.finalize_commit(ctx)
         assert prev.pstamp == 3  # not raised to 8
