@@ -11,9 +11,9 @@ import sys
 
 from .bench import ClientGroup, WorkloadConfig, run_bench
 from .kernel import Scheme, UsageError
-from .oracle import (  # noqa: F401  perfbench/spans.py wraps check_trace here
-    build_graph, check_trace, enumerate_interleavings, find_violations,
-    parse_script, replay_scripted,
+from .oracle import (  # noqa: F401  perfbench/spans.py wraps build_graph here
+    build_graph, check_trace, enumerate_interleavings, parse_script,
+    replay_scripted,
 )
 from .schedulers import CertifierMode
 from .trace import MalformedTrace, read_trace, write_trace
@@ -137,10 +137,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    events = read_trace(args.trace)
-    graph = build_graph(events)
-    report = find_violations(graph)
-    sys.stdout.write(report.render(graph))
+    report = check_trace(read_trace(args.trace))
+    sys.stdout.write(report.render())
     return 0 if report.clean else 2
 
 

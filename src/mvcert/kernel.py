@@ -224,7 +224,7 @@ class TransactionContext:
         "tid", "slot", "scheme", "read_only", "read_mostly", "snapshot_mode",
         "status", "cstamp", "pstamp", "sstamp", "begin_stamp", "start_stamp",
         "reads", "writes", "table_modes", "ssi", "tracked_reads",
-        "untracked_reads", "observed_violation", "abort_reason",
+        "untracked_reads", "observed_violation",
     )
 
     def __init__(self, tid: int, slot: int, scheme: Scheme, *,
@@ -249,7 +249,6 @@ class TransactionContext:
         self.tracked_reads = 0
         self.untracked_reads = 0
         self.observed_violation = False
-        self.abort_reason = None
 
     def swap_status(self, expected: Status, new: Status) -> bool:
         with RMW_LOCK:

@@ -28,6 +28,14 @@ from .trace import MalformedTrace, TraceEvent, TraceLog
 EDGE_WR = "w:r"
 EDGE_WW = "w:w"
 EDGE_RW = "r:w"
+# In sorted order: bit i of an adjacency mask stands for EDGE_KINDS[i].
+EDGE_KINDS = (EDGE_RW, EDGE_WR, EDGE_WW)
+_KIND_BIT = {kind: 1 << bit for bit, kind in enumerate(EDGE_KINDS)}
+
+
+def _kinds_of(mask: int) -> list[str]:
+    """The edge kinds an adjacency mask holds, in sorted order."""
+    return [kind for bit, kind in enumerate(EDGE_KINDS) if mask >> bit & 1]
 
 
 class AttributionFailure(AssertionError):
@@ -44,26 +52,37 @@ class GraphNode:
 
 
 class DependencyGraph:
-    """Committed transactions and their typed serial dependencies."""
+    """Committed transactions and their typed serial dependencies.
+
+    successors[src] maps each successor dst to a bitmask of the kinds of
+    the edges from src to dst (see EDGE_KINDS), so each pair is stored once
+    however many kinds join it, and adding an edge again changes nothing.
+    """
 
     def __init__(self):
         self.nodes: dict[int, GraphNode] = {}
-        self.edges: set[tuple[int, int, str]] = set()
-        self.successors: dict[int, set[int]] = {}
+        self.successors: dict[int, dict[int, int]] = {}
 
     def add_node(self, tid, cstamp, order):
         self.nodes[tid] = GraphNode(tid, cstamp, order)
-        self.successors.setdefault(tid, set())
+        self.successors.setdefault(tid, {})
 
     def add_edge(self, src, dst, kind):
         if src == dst:
             return  # the model has no self-edges
         if src in self.nodes and dst in self.nodes:
-            self.edges.add((src, dst, kind))
-            self.successors[src].add(dst)
+            out = self.successors[src]
+            out[dst] = out.get(dst, 0) | _KIND_BIT[kind]
 
-    def edge_kinds(self, src, dst):
-        return {kind for (s, d, kind) in self.edges if s == src and d == dst}
+    def edge_kinds(self, src, dst) -> set[str]:
+        return set(_kinds_of(self.successors.get(src, {}).get(dst, 0)))
+
+    @property
+    def edges(self) -> set[tuple[int, int, str]]:
+        """Every edge as a (src, dst, kind) triple, derived from successors."""
+        return {(src, dst, kind)
+                for src, out in self.successors.items()
+                for dst, mask in out.items() for kind in _kinds_of(mask)}
 
     def commit_order_key(self, tid):
         node = self.nodes[tid]
@@ -96,7 +115,7 @@ def build_graph(events) -> DependencyGraph:
     for tid, cstamp in committed.items():
         graph.add_node(tid, cstamp, order[tid])
 
-    readers = {}      # (key, creator) -> set of committed reader tids
+    readers = {}      # (key, creator) -> committed reader tids, repeats kept
     overwriter = {}   # (key, creator) -> committed overwriter tid
     for position, event in enumerate(events):
         if event.kind not in ("read", "write"):
@@ -117,7 +136,7 @@ def build_graph(events) -> DependencyGraph:
         if event.tid not in committed:
             continue
         if event.kind == "read":
-            readers.setdefault(identity, set()).add(event.tid)
+            readers.setdefault(identity, []).append(event.tid)
             graph.add_edge(event.ver_creator, event.tid, EDGE_WR)
         else:
             previous = overwriter.setdefault(identity, event.tid)
@@ -190,8 +209,9 @@ def recompute_watermarks(graph: DependencyGraph) -> None:
     by_commit = sorted(graph.nodes, key=graph.commit_order_key)
     position = {tid: i for i, tid in enumerate(by_commit)}
     incoming: dict[int, list[int]] = {tid: [] for tid in graph.nodes}
-    for src, dst, _kind in graph.edges:
-        incoming[dst].append(src)
+    for src, out in graph.successors.items():
+        for dst in out:
+            incoming[dst].append(src)
     for tid in by_commit:
         node = graph.nodes[tid]
         node.pstamp = max(
@@ -209,12 +229,15 @@ def recompute_watermarks(graph: DependencyGraph) -> None:
 class ViolationReport:
     sccs: list[list[int]] = field(default_factory=list)
     flagged: list[list[int]] = field(default_factory=list)
+    graph: DependencyGraph | None = field(default=None, repr=False)
 
     @property
     def clean(self) -> bool:
         return not self.sccs
 
-    def render(self, graph: DependencyGraph | None = None) -> str:
+    def render(self) -> str:
+        """Header, then per SCC its members and, given the graph, its edges
+        sorted by (src, dst, kind)."""
         if self.clean:
             return "serializable sccs=0\n"
         lines = ["serializable=no sccs=%d" % len(self.sccs)]
@@ -223,11 +246,13 @@ class ViolationReport:
                 len(members),
                 ",".join(str(t) for t in members),
                 ",".join(str(t) for t in flagged)))
-            if graph is not None:
+            if self.graph is not None:
                 scc = set(members)
-                for src, dst, kind in sorted(graph.edges):
-                    if src in scc and dst in scc:
-                        lines.append("edge %d %s %d" % (src, kind, dst))
+                for src in sorted(members):
+                    out = self.graph.successors[src]
+                    for dst in sorted(dst for dst in out if dst in scc):
+                        lines += ["edge %d %s %d" % (src, kind, dst)
+                                  for kind in _kinds_of(out[dst])]
         return "".join(line + "\n" for line in lines)
 
 
@@ -241,7 +266,7 @@ def find_violations(graph: DependencyGraph) -> ViolationReport:
     may share, and a lenient retry keeps the guarantee check honest there.
     """
     recompute_watermarks(graph)
-    report = ViolationReport()
+    report = ViolationReport(graph=graph)
     for component in strongly_connected_components(graph):
         if len(component) < 2:
             continue

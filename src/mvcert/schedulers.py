@@ -148,7 +148,6 @@ class Engine:
         transition_status(ctx, from_status, Status.ABORTED)
         self.store.rollback(ctx)
         self._clear_reader_bits(ctx)
-        ctx.abort_reason = reason
         if self.trace and reason is not None:
             self.trace.abort(ctx.tid, ctx.slot, reason)
         self.table.clear(ctx.slot)

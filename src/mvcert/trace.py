@@ -120,9 +120,27 @@ def write_trace(events, path) -> None:
         handle.write(render_trace(events))
 
 
+_REASONS = {reason: reason for reason in ABORT_REASONS}
+
+
+class _Numbers(dict):
+    """Numeral text -> its int, made once; int() raises on a bad numeral."""
+
+    def __missing__(self, text):
+        value = self[text] = int(text)
+        return value
+
+
 def parse_trace(lines) -> list[TraceEvent]:
-    """Parse trace text lines; raises MalformedTrace with the line index."""
+    """Parse trace text lines; raises MalformedTrace with the line index.
+
+    Events are built like TraceLog's, with tuple.__new__ on all nine fields.
+    Their kind and abort reason are this module's constant strings, and
+    every distinct number is one int object shared by all the lines that
+    carry it, so a parsed trace holds little beyond its tuples.
+    """
     events = []
+    number = _Numbers().__getitem__
     for index, raw in enumerate(lines):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -131,19 +149,28 @@ def parse_trace(lines) -> list[TraceEvent]:
         kind = fields[0]
         try:
             if kind == "begin" and len(fields) == 3:
-                tid, thread = map(int, fields[1:])
-                event = TraceEvent(index, kind, tid, thread)
+                tid, thread = map(number, fields[1:])
+                event = _new(TraceEvent, (
+                    index, "begin", tid, thread,
+                    None, None, None, None, None))
             elif kind in ("read", "write") and len(fields) == 6:
-                tid, thread, key, creator, cstamp = map(int, fields[1:])
-                event = TraceEvent(index, kind, tid, thread, key, creator, cstamp)
+                tid, thread, key, creator, cstamp = map(number, fields[1:])
+                event = _new(TraceEvent, (
+                    index, "read" if kind == "read" else "write", tid, thread,
+                    key, creator, cstamp, None, None))
             elif kind == "commit" and len(fields) == 4:
-                tid, thread, cstamp = map(int, fields[1:])
-                event = TraceEvent(index, kind, tid, thread, cstamp=cstamp)
+                tid, thread, cstamp = map(number, fields[1:])
+                event = _new(TraceEvent, (
+                    index, "commit", tid, thread,
+                    None, None, None, cstamp, None))
             elif kind == "abort" and len(fields) == 4:
-                tid, thread = int(fields[1]), int(fields[2])
-                if fields[3] not in ABORT_REASONS:
+                tid, thread = map(number, fields[1:3])
+                reason = _REASONS.get(fields[3])
+                if reason is None:
                     raise MalformedTrace(index, "unknown abort reason %r" % fields[3])
-                event = TraceEvent(index, kind, tid, thread, reason=fields[3])
+                event = _new(TraceEvent, (
+                    index, "abort", tid, thread,
+                    None, None, None, None, reason))
             else:
                 raise MalformedTrace(index, "unparseable line %r" % line)
         except MalformedTrace:

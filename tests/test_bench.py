@@ -6,7 +6,7 @@ from mvcert import (
     CertifierMode, ClientGroup, Scheme, WorkloadConfig, check_trace, run_bench,
 )
 from mvcert.cli import main
-from mvcert.trace import parse_trace, render_trace
+from mvcert.trace import MalformedTrace, TraceEvent, parse_trace, render_trace
 
 
 def config(**overrides):
@@ -171,3 +171,33 @@ class TestTraceRoundTrip:
         parsed = parse_trace(text.splitlines())
         assert len(parsed) == len(events)
         assert render_trace(parsed) == text
+
+    def test_parsed_events_carry_every_field_and_share_numbers(self):
+        parsed = parse_trace(["begin 70001 1", "read 70001 1 3 0 0",
+                              "# a comment keeps its line index", "",
+                              "commit 70001 1 90001", "begin 70002 2",
+                              "write 70002 2 3 70001 90001",
+                              "abort 70002 2 user"])
+        assert parsed == [
+            TraceEvent(0, "begin", 70001, 1),
+            TraceEvent(1, "read", 70001, 1, 3, 0, 0),
+            TraceEvent(4, "commit", 70001, 1, cstamp=90001),
+            TraceEvent(5, "begin", 70002, 2),
+            TraceEvent(6, "write", 70002, 2, 3, 70001, 90001),
+            TraceEvent(7, "abort", 70002, 2, reason="user"),
+        ]
+        assert parsed[0].tid is parsed[4].ver_creator
+        assert parsed[2].cstamp is parsed[4].ver_cstamp
+
+    @pytest.mark.parametrize("line, message", [
+        ("begin 1", "event 1: unparseable line 'begin 1'"),
+        ("commit 1 0 5 6", "event 1: unparseable line"),
+        ("frob 1 0", "event 1: unparseable line"),
+        ("read 1 0 x 0 0", "event 1: non-numeric field in 'read 1 0 x 0 0'"),
+        ("abort 1 0 bogus", "event 1: unknown abort reason 'bogus'"),
+    ])
+    def test_malformed_lines_name_their_index(self, line, message):
+        with pytest.raises(MalformedTrace) as caught:
+            parse_trace(["begin 1 0", line])
+        assert str(caught.value).startswith(message)
+        assert caught.value.index == 1

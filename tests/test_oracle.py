@@ -1,12 +1,16 @@
 """Offline checker: graph building, cycle detection, attribution, replay,
 and exhaustive interleaving enumeration."""
 
+import tracemalloc
+
 import pytest
 
 from mvcert import (
-    CertifierMode, Scheme, UsageError, build_graph, check_trace,
-    enumerate_interleavings, find_violations, parse_script, replay_scripted,
+    CertifierMode, ClientGroup, Scheme, UsageError, WorkloadConfig,
+    build_graph, check_trace, enumerate_interleavings, find_violations,
+    parse_script, replay_scripted, run_bench,
 )
+from mvcert.cli import main
 from mvcert.oracle import (
     EDGE_RW, EDGE_WR, EDGE_WW, AttributionFailure, DependencyGraph,
     interleaving_count, interleavings, recompute_watermarks,
@@ -212,6 +216,112 @@ class TestFindViolations:
         assert report.clean
         order = sorted(graph.nodes, key=graph.commit_order_key)
         assert order == [64, 129, 194]
+
+
+# Two SCCs.  T1 -> T2 is both w:r and w:w (T2 reads, then overwrites, T1's
+# version of key 0) and T2 -> T1 is r:w on key 1; T3 and T4 are a write-skew
+# pair on keys 2 and 3.  T5 reads T2's version, an edge that leaves an SCC.
+TWO_SCCS = """
+begin 1 0
+begin 2 1
+read 2 1 1 0 0
+write 1 0 0 0 0
+write 1 0 1 0 0
+commit 1 0 5
+read 2 1 0 1 5
+write 2 1 0 1 5
+commit 2 1 7
+begin 3 2
+begin 4 3
+read 3 2 2 0 0
+read 4 3 3 0 0
+write 3 2 3 0 0
+write 4 3 2 0 0
+commit 3 2 9
+commit 4 3 11
+begin 5 4
+read 5 4 0 2 7
+commit 5 4 13
+"""
+
+
+def report_blocks(text):
+    """The header line and the set of SCC blocks of a check report."""
+    header, *lines = text.splitlines(keepends=True)
+    blocks = []
+    for line in lines:
+        if line.startswith("scc "):
+            blocks.append("")
+        blocks[-1] += line
+    return header, set(blocks)
+
+
+class TestCheckReport:
+    def test_golden_check_output(self, tmp_path, capsys):
+        path = tmp_path / "two-sccs.trace"
+        path.write_text(TWO_SCCS.lstrip())
+        assert main(["check", str(path)]) == 2
+        header, blocks = report_blocks(capsys.readouterr().out)
+        assert header == "serializable=no sccs=2\n"
+        assert blocks == {
+            "scc size=2 members=1,2 flagged=2\n"
+            "edge 1 w:r 2\n"
+            "edge 1 w:w 2\n"
+            "edge 2 r:w 1\n",
+            "scc size=2 members=3,4 flagged=4\n"
+            "edge 3 r:w 4\n"
+            "edge 4 r:w 3\n",
+        }
+
+    def test_check_runs_through_check_trace(self, tmp_path, monkeypatch,
+                                            capsys):
+        # The benchmark's traced run times the oracle phases beneath
+        # check_trace, so the command must call it.
+        calls = []
+
+        def spy(events):
+            calls.append(len(events))
+            return check_trace(events)
+
+        monkeypatch.setattr("mvcert.cli.check_trace", spy)
+        path = tmp_path / "two-sccs.trace"
+        path.write_text(TWO_SCCS.lstrip())
+        assert main(["check", str(path)]) == 2
+        assert calls == [20]
+        assert capsys.readouterr().out.startswith("serializable=no sccs=2\n")
+
+    def test_pair_joined_by_two_kinds(self):
+        graph = build_graph(trace(TWO_SCCS))
+        assert graph.edge_kinds(1, 2) == {EDGE_WR, EDGE_WW}
+        assert graph.edge_kinds(2, 1) == {EDGE_RW}
+        assert graph.edge_kinds(1, 5) == set()
+        assert len(graph.edges) == 6
+        assert (1, 2, EDGE_WR) in graph.edges
+        assert (1, 2, EDGE_WW) in graph.edges
+        assert (2, 5, EDGE_WR) in graph.edges
+
+
+class TestOracleMemory:
+    def test_parsed_trace_and_graph_stay_small(self):
+        # Nine-field tuples sharing their kind strings and numbers, and one
+        # kind bitmask per dependent pair, take about 234 B per event here;
+        # keyword-built events with their own ints and every edge held in
+        # a triple set as well took about 557 B.
+        config = WorkloadConfig(
+            db_size=100, groups=[ClientGroup(1, 8, 12, 3)],
+            txns_per_thread=2000, seed=7, emit_trace=True)
+        _, events = run_bench(config)
+        lines = render_trace(events).splitlines()
+        del events
+        tracemalloc.start()
+        try:
+            parsed = parse_trace(lines)
+            graph = build_graph(parsed)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(graph.nodes) == 2000
+        assert retained / len(parsed) <= 320
 
 
 class TestWatermarkRecomputation:
