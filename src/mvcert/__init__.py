@@ -3,9 +3,7 @@ certification, an offline dependency-graph checker, and a microbenchmark
 harness."""
 
 from .bench import ClientGroup, RunStats, WorkloadConfig, run_bench
-from .certifier import (
-    ExclusionCertifier, SafeSnapshot, StalenessPolicy, verify_exclusion,
-)
+from .certifier import Certifier, ExclusionCertifier, SsiCertifier, SsiState
 from .kernel import (
     INFINITY, GlobalClock, Scheme, Status, TableMode, TransactionAborted,
     TransactionContext, TransactionTable, UsageError,
@@ -15,19 +13,19 @@ from .oracle import (
     enumerate_interleavings, find_violations, parse_script, replay_scripted,
     strongly_connected_components,
 )
-from .schedulers import CertifierMode, Engine, SsiState
+from .schedulers import CertifierMode, Engine
 from .store import Store, VersionMeta, WriteConflict
 from .trace import TraceEvent, TraceLog, parse_trace, read_trace, write_trace
 
 __all__ = [
     "ClientGroup", "RunStats", "WorkloadConfig", "run_bench",
-    "ExclusionCertifier", "SafeSnapshot", "StalenessPolicy",
-    "verify_exclusion", "INFINITY", "GlobalClock", "Scheme", "Status",
-    "TableMode", "TransactionAborted", "TransactionContext",
-    "TransactionTable", "UsageError", "DependencyGraph", "ViolationReport",
+    "Certifier", "ExclusionCertifier", "SsiCertifier", "SsiState",
+    "INFINITY", "GlobalClock", "Scheme", "Status", "TableMode",
+    "TransactionAborted", "TransactionContext", "TransactionTable",
+    "UsageError", "DependencyGraph", "ViolationReport",
     "build_graph", "check_trace", "enumerate_interleavings",
     "find_violations", "parse_script", "replay_scripted",
-    "strongly_connected_components", "CertifierMode", "Engine", "SsiState",
+    "strongly_connected_components", "CertifierMode", "Engine",
     "Store", "VersionMeta", "WriteConflict", "TraceEvent", "TraceLog",
     "parse_trace", "read_trace", "write_trace",
 ]

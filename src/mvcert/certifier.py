@@ -1,30 +1,59 @@
-"""Commit-time serializability certification over a multi-version store.
+"""Certifiers: serializability checks layered over the access scheme.
 
-The certifier keeps two watermarks per transaction: pstamp, the largest
-commit stamp among committed predecessors (reads of their versions, or their
-reads of versions this transaction overwrites), and sstamp, the smallest
-successor watermark among committed overwriters of versions this transaction
-read.  A transaction whose sstamp is not strictly above its pstamp at
-pre-commit would leave a window in which a predecessor could also be a
-successor, i.e. a potential dependency cycle, so it aborts:
+The Engine runs the scheme (SI or RC visibility, write-write conflicts,
+version installs and the write set) and reports each step to its certifier
+through five hooks, without asking which certifier it has:
+
+    begin(ctx)                     a transaction starts
+    on_read(ctx, version, cstamp)  ctx read a committed foreign version
+    on_write(ctx, version)         ctx installed a fresh version
+    pre_commit(ctx)                the COMMITTING transition, the commit
+                                   stamp draw and the verdict
+    post_commit(ctx)               the commit is final and stamped
+
+on_read, on_write and pre_commit return an abort cause, or None to go on.
+``latch`` is a lock the Engine holds around each commit, or None.  There are
+three certifiers:
+
+    Certifier           the bare scheme: no reader bits, no read set, no
+                        verdict; commits are never refused
+    ExclusionCertifier  SSN, the exclusion-window test
+    SsiCertifier        a two-flag dangerous-structure test, for comparison
+
+SSN keeps two watermarks per transaction: pstamp, the largest commit stamp
+among committed predecessors (reads of their versions, or their reads of
+versions this transaction overwrites), and sstamp, the smallest successor
+watermark among committed overwriters of versions this transaction read.  A
+transaction whose sstamp is not strictly above its pstamp at pre-commit
+would leave a window in which a predecessor could also be a successor, i.e.
+a potential dependency cycle, so it aborts:
 
     violation  <=>  sstamp <= pstamp
 
-Two commit paths compute the same verdict.  The serial path assumes a global
-latch around the whole commit and reads version stamps directly.  The
-parallel path is latch-free: versions may carry an overwriter's transaction
-id instead of a final stamp, which is resolved through the transaction table,
-spinning only on peers that already hold a smaller commit stamp and are still
-mid-commit.  Entering the COMMITTING status strictly before drawing the
-commit stamp is what makes those spins sound: any peer observed in-flight is
-guaranteed to draw a larger stamp.
+Two commit paths compute the same verdict.  The serial path holds the latch
+around the whole commit and reads version stamps directly.  The parallel
+path is latch-free: versions may carry an overwriter's transaction id
+instead of a final stamp, which is resolved through the transaction table,
+spinning only on peers that already hold a smaller commit stamp and are
+still mid-commit.  Entering the COMMITTING status strictly before drawing
+the commit stamp is what makes those spins sound: any peer observed
+in-flight is guaranteed to draw a larger stamp.
 
-Also here: active safe snapshots (a published stamp that acts as a reader of
-every record, folded into overwriters' pstamp), the read-only commit-stamp
-rule (empty write set under SI commits at its snapshot time), the stale-read
-filter for read-mostly transactions plus the sstamp handshake that lets
-updaters push their stamp into untracked readers, and table-granularity stamp
-actions for scan/update modes.
+SSN also owns the active safe snapshot (a published stamp that acts as a
+reader of every record, folded into overwriters' pstamp), the read-only
+commit-stamp rule (empty write set under SI commits at its snapshot time),
+the stale-read filter for read-mostly transactions plus the sstamp handshake
+that lets updaters push their watermark into untracked readers, and the
+table pstamp that table scans raise and table updates fold in.
+
+SSI keeps one conflict flag pair per transaction instead of full conflict
+lists, which admits false positives but must never miss a cycle.  Three
+rules together cover every dangerous structure: writers collect the inbound
+flag from reader bitmaps and access stamps; readers push the inbound flag
+into a live overwriter the moment they read under its uncommitted write; and
+a reader that finds its version overwritten by an already-committed pivot
+(both flags, partner first) aborts itself, because the pivot can no longer
+be stopped.
 """
 
 from __future__ import annotations
@@ -32,32 +61,17 @@ from __future__ import annotations
 import threading
 
 from .kernel import (
-    INFINITY, LOCK_BIT, TID_TAG, VALUE_MASK, Scheme, Status, TableMode,
-    TransactionContext, TransactionTable, GlobalClock, is_tid, spin_until,
-    transition_status, word_value,
+    INFINITY, LOCK_BIT, TID_TAG, VALUE_MASK, AtomicCell, GlobalClock, Scheme,
+    Status, TableMode, TransactionContext, TransactionTable, is_tid,
+    spin_until, transition_status, word_value,
 )
 from .store import Store, VersionMeta
 
-
-class SafeSnapshot:
-    __slots__ = ("stamp",)
-
-    def __init__(self, stamp: int):
-        self.stamp = stamp
-
-
-class StalenessPolicy:
-    """Reads of versions older than threshold ticks go untracked.
-
-    threshold 0 disables the optimization entirely.
-    """
-
-    __slots__ = ("threshold",)
-
-    def __init__(self, threshold: int = 0):
-        if threshold < 0:
-            raise ValueError("staleness threshold must be >= 0")
-        self.threshold = threshold
+# Enum members are slow to look up as class attributes on CPython 3.11;
+# the hooks compare against these module constants instead.
+_INFLIGHT, _COMMITTING = Status.INFLIGHT, Status.COMMITTING
+_UPDATE_MODES = frozenset((TableMode.IW, TableMode.W))
+_SCAN_MODES = frozenset((TableMode.R, TableMode.IR))
 
 
 def overwriter_outcome(table: TransactionTable, version: VersionMeta,
@@ -105,28 +119,75 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
                    "overwriter %d to conclude" % word_value(word))
 
 
-class ExclusionCertifier:
-    """The pstamp/sstamp bookkeeping and both commit paths."""
+class Certifier:
+    """The bare scheme: every hook is a no-op and no commit is refused.
 
-    def __init__(self, clock: GlobalClock, table: TransactionTable, *,
-                 staleness: StalenessPolicy | None = None,
-                 observe: bool = False):
+    It registers no reader bit and keeps no read set, so commits raise no
+    access stamps; pre-commit only draws the commit stamp.
+    """
+
+    latch = None
+
+    def __init__(self, clock: GlobalClock, table: TransactionTable,
+                 store: Store):
         self.clock = clock
         self.table = table
-        self.staleness = staleness or StalenessPolicy(0)
+        self.store = store
+
+    def begin(self, ctx: TransactionContext) -> None:
+        pass
+
+    def on_read(self, ctx: TransactionContext, version: VersionMeta,
+                cstamp: int) -> str | None:
+        return None
+
+    def on_write(self, ctx: TransactionContext,
+                 version: VersionMeta) -> str | None:
+        return None
+
+    def pre_commit(self, ctx: TransactionContext) -> str | None:
+        transition_status(ctx, _INFLIGHT, _COMMITTING)
+        cstamp = self.clock.next()
+        ctx.cstamp = cstamp
+        ctx.fold_sstamp(cstamp)
+        return None
+
+    def post_commit(self, ctx: TransactionContext) -> None:
+        pass
+
+
+class ExclusionCertifier(Certifier):
+    """SSN: the pstamp/sstamp bookkeeping and both commit paths.
+
+    serial takes the latched commit path under ``latch``; observe notes
+    violations in ctx.observed_violation instead of aborting; reads by
+    read-mostly transactions of versions more than threshold ticks older
+    than the clock go untracked (threshold 0 tracks every read).
+    """
+
+    def __init__(self, clock: GlobalClock, table: TransactionTable,
+                 store: Store, *, serial: bool = False,
+                 observe: bool = False, threshold: int = 0):
+        super().__init__(clock, table, store)
+        self.serial = serial
         self.observe = observe
-        self.latch = threading.Lock()
-        self._snapshot = None
+        self.threshold = threshold
+        self.latch = threading.Lock() if serial else None
+        self._snapshot = 0  # stamp of the active safe snapshot, 0 for none
 
     # ---------------- safe snapshots ----------------
 
-    def take_safe_snapshot(self) -> SafeSnapshot:
-        snapshot = SafeSnapshot(self.clock.next())
-        self._snapshot = snapshot
-        return snapshot
-
-    def current_snapshot(self) -> SafeSnapshot | None:
+    def take_safe_snapshot(self) -> int:
+        self._snapshot = self.clock.next()
         return self._snapshot
+
+    def begin(self, ctx: TransactionContext) -> None:
+        if ctx.read_only and self._snapshot:
+            # Read-only queries on the safe snapshot skip certification
+            # entirely; the snapshot stamp is both visibility cut and
+            # commit stamp.
+            ctx.snapshot_mode = True
+            ctx.begin_stamp = self._snapshot
 
     def _snapshot_pstamp(self, ctx: TransactionContext) -> int:
         """Stamp the active snapshot contributes to ctx's pstamp, or 0.
@@ -137,75 +198,96 @@ class ExclusionCertifier:
         stamp as a committed predecessor.
         """
         snapshot = self._snapshot
-        if snapshot is None:
-            return 0
-        if ctx.start_stamp >= snapshot.stamp:
+        if not snapshot or ctx.start_stamp >= snapshot:
             return 0
         for version in ctx.writes:
-            if version.prev.committed_stamp() < snapshot.stamp:
-                return snapshot.stamp
+            if version.prev.committed_stamp() < snapshot:
+                return snapshot
         return 0
 
     # ---------------- forward-processing hooks ----------------
 
     def on_read(self, ctx: TransactionContext, version: VersionMeta,
-                cstamp: int, *, force_untracked: bool = False) -> None:
+                cstamp: int, *, force_untracked: bool = False) -> str | None:
         """Dependency bookkeeping for one committed, visible version.
 
-        The read folds the creator's stamp into pstamp.  If the version is
-        already overwritten by a committed transaction the overwriter's
-        successor watermark folds into sstamp; otherwise the version joins
-        the read set for re-checking at pre-commit, unless it is stale under
-        the read-mostly policy (a read-mostly transaction's read of a version
-        more than threshold ticks older than the clock; stale reads stay out
-        of the read set but still leave the reader bit and the pstamp fold
-        behind).  The window test after the folds is advisory: stamps may
-        still move, the binding check happens at pre-commit.
+        The reader's bit goes up first, before the overwrite claim is
+        loaded, so an overwriter either finds the bit or leaves a claim this
+        read sees.  The read folds the creator's stamp into pstamp.  If the
+        version is already overwritten by a committed transaction the
+        overwriter's successor watermark folds into sstamp; otherwise the
+        version joins the read set for re-checking at pre-commit, unless it
+        is stale under the read-mostly policy (a read-mostly transaction's
+        read of a version more than threshold ticks older than the clock;
+        stale reads stay out of the read set but still leave the reader bit
+        and the pstamp fold behind).  The window test after the folds is
+        advisory: stamps may still move, the binding check happens at
+        pre-commit.
         """
+        if ctx.snapshot_mode:
+            return None
+        self.store.register_reader(version, ctx.slot)
         if cstamp > ctx.pstamp:
             ctx.pstamp = cstamp
         word = version.sstamp
         if word == INFINITY or word & TID_TAG:
             # No committed overwrite yet (an in-flight overwriter counts as
             # none; pre-commit resolves it through the transaction table).
-            threshold = self.staleness.threshold
+            threshold = self.threshold
             if force_untracked or (
                     ctx.read_mostly and threshold
                     and self.clock.current() - cstamp > threshold):
                 ctx.untracked_reads += 1
             else:
-                ctx.track_read(version)
+                ctx.reads[version] = None
         else:
             ctx.fold_sstamp(word & VALUE_MASK)
         if ctx.sstamp & VALUE_MASK <= ctx.pstamp:
-            self._violation(ctx)
+            return self._violation(ctx)
+        return None
 
-    def on_write(self, ctx: TransactionContext, version: VersionMeta) -> None:
-        """Bookkeeping after version was installed by ctx.
+    def on_write(self, ctx: TransactionContext,
+                 version: VersionMeta) -> str | None:
+        """Bookkeeping after ctx installed version.
 
         The overwritten predecessor's access stamp covers every reader that
-        committed before the overwrite, hence the pstamp fold.  The new
-        version joins the write set; a prior read of the predecessor is
-        logically dropped from the read set by skipping entries whose sstamp
-        carries the transaction's own tid.
+        committed before the overwrite, hence the pstamp fold.  A prior read
+        of the predecessor stays in the read set; pre-commit and the
+        post-commit stamping skip entries whose sstamp carries the
+        transaction's own tid.
         """
-        if version in ctx.writes:
-            return
-        ctx.pstamp = max(ctx.pstamp, version.prev.pstamp)
-        ctx.writes[version] = None
+        pstamp = version.prev.pstamp
+        if pstamp > ctx.pstamp:
+            ctx.pstamp = pstamp
         if ctx.sstamp & VALUE_MASK <= ctx.pstamp:
-            self._violation(ctx)
+            return self._violation(ctx)
+        return None
 
-    def _violation(self, ctx: TransactionContext) -> None:
-        """Advisory window violation: noted in observe mode, else aborts."""
+    def _violation(self, ctx: TransactionContext) -> str | None:
+        """Advisory window violation: noted in observe mode, else a cause."""
         if self.observe:
             ctx.observed_violation = True
-        else:
-            raise ExclusionViolation("ssn_exclusion")
+            return None
+        return "ssn_exclusion"
 
     # ---------------- pre-commit ----------------
 
-    def acquire_commit_stamp(self, ctx: TransactionContext) -> int:
+    def pre_commit(self, ctx: TransactionContext) -> str | None:
+        if ctx.snapshot_mode:
+            transition_status(ctx, _INFLIGHT, _COMMITTING)
+            ctx.cstamp = ctx.begin_stamp
+            return None
+        self.acquire_commit_stamp(ctx)
+        if self.serial:
+            cause = self.certify_serial(ctx)
+        else:
+            cause = self.certify_parallel(ctx)
+        if cause is not None and self.observe:
+            ctx.observed_violation = True
+            return None
+        return cause
+
+    def acquire_commit_stamp(self, ctx: TransactionContext) -> None:
         """COMMITTING transition, then the stamp draw; order is mandatory.
 
         A transaction with an empty write set under SI reuses its snapshot
@@ -217,19 +299,15 @@ class ExclusionCertifier:
         a fresh stamp turns the conflict into an ordinary back edge that
         pre-commit certifies.
         """
-        transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
-        cstamp = 0
+        transition_status(ctx, _INFLIGHT, _COMMITTING)
         if (not ctx.writes and ctx.scheme is Scheme.SI
                 and ctx.begin_stamp > 0 and ctx.untracked_reads == 0
                 and all(v.sstamp == INFINITY for v in ctx.reads)):
-            cstamp = ctx.begin_stamp
-        if cstamp == 0:
-            cstamp = self.clock.next()
-        ctx.cstamp = cstamp
-        return cstamp
+            ctx.cstamp = ctx.begin_stamp
+        else:
+            ctx.cstamp = self.clock.next()
 
-    def certify_serial(self, ctx: TransactionContext,
-                       store: Store) -> str | None:
+    def certify_serial(self, ctx: TransactionContext) -> str | None:
         """Watermark finalization and the window test, latched variant.
 
         Returns the abort cause, or None when the commit may proceed.  The
@@ -246,7 +324,7 @@ class ExclusionCertifier:
                 continue
             ctx.fold_sstamp(word_value(word))
         pstamp = ctx.pstamp
-        if self.staleness.threshold > 0:
+        if self.threshold > 0:
             # Untracked readers leave no access stamps behind, so even the
             # latched path must consult the bitmaps when the read-mostly
             # optimization is active.
@@ -258,10 +336,9 @@ class ExclusionCertifier:
         ctx.pstamp = pstamp
         if handshake_failed:
             return "ssn_exclusion"
-        return self._window_test(ctx, store)
+        return self._window_test(ctx)
 
-    def certify_parallel(self, ctx: TransactionContext,
-                         store: Store) -> str | None:
+    def certify_parallel(self, ctx: TransactionContext) -> str | None:
         """Latch-free watermark finalization and window test.
 
         Returns the abort cause, or None when the commit may proceed.
@@ -281,7 +358,7 @@ class ExclusionCertifier:
         ctx.pstamp = pstamp
         if handshake_failed:
             return "ssn_exclusion"
-        return self._window_test(ctx, store, seal=ctx.read_mostly)
+        return self._window_test(ctx, seal=ctx.read_mostly)
 
     def _reader_sweep(self, ctx: TransactionContext, pstamp: int):
         """Fold committed readers of overwritten versions into pstamp.
@@ -353,16 +430,12 @@ class ExclusionCertifier:
             if reader.swap_sstamp(word, sstamp):
                 return True
 
-    def _window_test(self, ctx: TransactionContext, store: Store, *,
+    def _window_test(self, ctx: TransactionContext, *,
                      seal: bool = False) -> str | None:
         pstamp = ctx.pstamp
-        for mode in ctx.table_modes:
-            if mode in (TableMode.IW, TableMode.W):
-                pstamp = max(pstamp, store.table_stamps.pstamp.load())
-            if mode in (TableMode.R, TableMode.IR):
-                word = store.table_stamps.sstamp.load()
-                if word != INFINITY and not is_tid(word):
-                    ctx.fold_sstamp(word_value(word))
+        if ctx.table_modes & _UPDATE_MODES:
+            # Table updates inherit every committed scan as a predecessor.
+            pstamp = max(pstamp, self.store.table_pstamp.load())
         ctx.pstamp = pstamp
         snap = self._snapshot_pstamp(ctx)
         if seal:
@@ -378,25 +451,146 @@ class ExclusionCertifier:
             return "safe_snapshot" if pi > pstamp else "ssn_exclusion"
         return None
 
-    def table_commit_actions(self, ctx: TransactionContext, store: Store) -> None:
-        """Post-commit table-stamp updates for the declared modes."""
-        if ctx.table_modes & {TableMode.R, TableMode.IR}:
-            store.table_stamps.pstamp.fold_max(ctx.cstamp)
+    def post_commit(self, ctx: TransactionContext) -> None:
+        """Publish what later updaters fold in: the read-mostly slot's last
+        commit stamp and, after a table scan, the table pstamp."""
+        if ctx.snapshot_mode:
+            return
+        if ctx.read_mostly:
+            self.table.record_commit_stamp(ctx.slot, ctx.cstamp)
+        if ctx.table_modes & _SCAN_MODES:
+            self.store.table_pstamp.fold_max(ctx.cstamp)
 
 
-class ExclusionViolation(Exception):
-    """Early (advisory) window violation detected during forward processing."""
-
-    def __init__(self, cause: str):
-        super().__init__(cause)
-        self.cause = cause
+IN_RW = 1       # has an inbound read anti-dependency
+DECIDED = 2     # the owner already ran its commit check
 
 
-def verify_exclusion(pstamp: int, sstamp_word: int) -> bool:
-    """True when the exclusion window is violated (sstamp <= pstamp).
+class SsiState:
+    """Conflict flags for one transaction under the SSI certifier.
 
-    An infinite sstamp means no back-edge successor exists yet and always
-    passes; the comparison is inclusive because a predecessor committing
-    exactly at the successor watermark already closes the window.
+    The inbound flag may be set by conflicting peers, so it lives in an
+    atomic cell together with a "decided" bit the owner raises when it takes
+    its commit decision: a marker that finds the bit set knows its mark came
+    too late and must handle the committed pivot itself.  out_rw and the
+    earliest committed rw-partner stamp are owner-private and final before
+    the decision.  Flags are only ever set, never cleared.
     """
-    return word_value(sstamp_word) <= pstamp
+
+    __slots__ = ("in_rw", "out_rw", "partner_commit")
+
+    def __init__(self):
+        self.in_rw = AtomicCell(0)
+        self.out_rw = False
+        self.partner_commit = None
+
+    def fold_partner(self, cstamp: int) -> None:
+        self.out_rw = True
+        if self.partner_commit is None or cstamp < self.partner_commit:
+            self.partner_commit = cstamp
+
+    def committed_pivot(self, cstamp: int) -> bool:
+        return (self.out_rw and self.partner_commit is not None
+                and self.partner_commit < cstamp)
+
+
+class SsiCertifier(Certifier):
+    """Two-flag dangerous-structure certification, on SI only.
+
+    Each transaction carries an SsiState in ctx.ssi.  A committer marks every
+    version it overwrote with its commit stamp and whether it committed as a
+    pivot; the marks live in self.marks, keyed by the overwritten version,
+    and are written before the version's sstamp turns final, so a reader
+    that finds a final sstamp always finds the mark.
+    """
+
+    def __init__(self, clock: GlobalClock, table: TransactionTable,
+                 store: Store):
+        super().__init__(clock, table, store)
+        self.marks = {}
+
+    def begin(self, ctx: TransactionContext) -> None:
+        ctx.ssi = SsiState()
+
+    def on_read(self, ctx: TransactionContext, version: VersionMeta,
+                cstamp: int) -> str | None:
+        self.store.register_reader(version, ctx.slot)
+        while True:
+            word = version.sstamp
+            if word == INFINITY:
+                ctx.reads[version] = None
+                return None
+            if not word & TID_TAG:
+                return self._committed_overwrite(ctx, version)
+            peer = self.table.get(word & VALUE_MASK)
+            if peer is None:
+                # Overwriter concluded; its sstamp settles on re-read.
+                spin_until(lambda: version.sstamp != word,
+                           "overwriter %d to conclude" % word_value(word))
+                continue
+            # Mark before tracking: a reader this aborts clears no bit here.
+            if self._mark_inbound(ctx, peer):
+                return "ssi_dangerous"
+            ctx.ssi.out_rw = True
+            ctx.reads[version] = None
+            return None
+
+    def _mark_inbound(self, ctx: TransactionContext,
+                      peer: TransactionContext) -> bool:
+        """Record that peer has an inbound anti-dependency (from ctx).
+
+        If peer already took its commit decision the mark arrived too late;
+        when the flags peer froze make it a committed pivot, the marker is
+        the only transaction left that can break the structure, so the
+        result is True and it must abort (conservatively even if peer itself
+        ended up aborting).
+        """
+        if peer is ctx:
+            return False
+        seen = peer.ssi.in_rw.fetch_or(IN_RW)
+        return bool(seen & DECIDED) and peer.ssi.committed_pivot(peer.cstamp)
+
+    def _committed_overwrite(self, ctx: TransactionContext,
+                             version: VersionMeta) -> str | None:
+        overwriter_cstamp, pivot = self.marks[version]
+        ctx.ssi.fold_partner(overwriter_cstamp)
+        if pivot:
+            # The overwriter is a committed pivot; this read closes the
+            # structure and the reader is the only one left to stop.
+            return "ssi_dangerous"
+        return None
+
+    def on_write(self, ctx: TransactionContext,
+                 version: VersionMeta) -> str | None:
+        prev = version.prev
+        foreign_bits = prev.readers & ~(1 << ctx.slot)
+        if foreign_bits or prev.pstamp > prev.committed_stamp():
+            ctx.ssi.in_rw.fetch_or(IN_RW)
+        return None
+
+    def pre_commit(self, ctx: TransactionContext) -> str | None:
+        super().pre_commit(ctx)
+        ssi = ctx.ssi
+        for version in ctx.reads:
+            kind, value = overwriter_outcome(self.table, version, ctx)
+            if kind == "final":
+                cause = self._committed_overwrite(ctx, version)
+                if cause is not None:
+                    return cause
+            elif kind == "committed":
+                ssi.fold_partner(value.cstamp)
+                if value.ssi.committed_pivot(value.cstamp):
+                    return "ssi_dangerous"
+            elif kind == "pending":
+                if self._mark_inbound(ctx, value):
+                    return "ssi_dangerous"
+                ssi.out_rw = True
+        cstamp = ctx.cstamp
+        decision = ssi.in_rw.fetch_or(DECIDED)
+        pivot = ssi.committed_pivot(cstamp)
+        if decision & IN_RW and pivot and not ctx.read_only:
+            return "ssi_dangerous"
+        mark = (cstamp, pivot)
+        for version in ctx.writes:
+            self.marks[version.prev] = mark
+        return None

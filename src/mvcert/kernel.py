@@ -9,7 +9,7 @@ them: a transaction's status, cstamp and sstamp here, a version's stamps and
 reader bits in store.py.  Their read-modify-writes are methods of that owner
 that run under RMW_LOCK (the status compare-and-swap, the sstamp min-fold,
 the seal and the handshake's sstamp compare-and-swap for a transaction).
-Only record heads, the table stamps, the clock, the tid sequence and the
+Only record heads, the table pstamp, the clock, the tid sequence and the
 SSI inbound flags keep AtomicCells (plain load/store plus locked fetch-add,
 fetch-or, compare-and-swap).  The lock is not reentrant, so no
 read-modify-write may run another while it holds the lock.
@@ -216,15 +216,17 @@ class TransactionContext:
     Peers may read status, cstamp and sstamp, and may compare-and-swap
     sstamp (the read-mostly handshake); everything else is private.  The
     three shared words are plain slots whose read-modify-writes are the
-    methods below, under RMW_LOCK; cstamp is only ever stored.  reads and
-    writes are insertion-ordered dicts used as sets.
+    methods below, under RMW_LOCK; cstamp is only ever stored.  writes is
+    the engine's write set and reads the certifier's read set (the bare
+    scheme keeps none), both insertion-ordered dicts used as sets.  ssi
+    holds the SSI certifier's flags, whose inbound cell peers may set.
     """
 
     __slots__ = (
         "tid", "slot", "scheme", "read_only", "read_mostly", "snapshot_mode",
         "status", "cstamp", "pstamp", "sstamp", "begin_stamp", "start_stamp",
-        "reads", "writes", "table_modes", "ssi", "tracked_reads",
-        "untracked_reads", "observed_violation",
+        "reads", "writes", "table_modes", "ssi", "untracked_reads",
+        "observed_violation",
     )
 
     def __init__(self, tid: int, slot: int, scheme: Scheme, *,
@@ -246,7 +248,6 @@ class TransactionContext:
         self.writes = {}
         self.table_modes = set()
         self.ssi = None
-        self.tracked_reads = 0
         self.untracked_reads = 0
         self.observed_violation = False
 
@@ -282,16 +283,10 @@ class TransactionContext:
                 return True
             return False
 
-    def track_read(self, version) -> None:
-        if version not in self.reads:
-            self.reads[version] = None
-            self.tracked_reads += 1
-
-    def track_write(self, version) -> None:
-        self.writes[version] = None
-
-    def has_written(self, version) -> bool:
-        return version in self.writes
+    @property
+    def tracked_reads(self) -> int:
+        """Size of the read set; a read once tracked is never dropped."""
+        return len(self.reads)
 
 
 def transition_status(ctx: TransactionContext, src: Status, dst: Status) -> None:

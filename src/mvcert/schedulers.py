@@ -1,10 +1,14 @@
-"""Access schemes, the engine facade, and the snapshot-isolation certifier.
+"""Access schemes and the engine facade.
 
 The Engine ties the clock, transaction table, store and certifier together
 behind the begin/read/write/commit/abort surface that workers and the replay
 drivers use.  The underlying scheme (SI or RC) decides which version a read
-returns and when a write conflicts; the configured certifier decides, at
-pre-commit, whether committing is safe.
+returns and when a write conflicts; the Engine keeps the write set and the
+version installs.  It reports every transaction's start, each read of a
+foreign version, each fresh write and the commit to the configured
+certifier through the hooks in certifier.py, and aborts with whatever cause
+a hook returns.  Only table scans and safe snapshots ask which certifier is
+configured, because only SSN supports them.
 
 Three certifier settings exist:
 
@@ -15,29 +19,16 @@ Three certifier settings exist:
     ssi     a two-flag dangerous-structure certifier for comparison: a
             transaction with both an inbound and an outbound read
             anti-dependency whose outbound partner committed first aborts
-
-The SSI variant keeps one conflict flag pair per transaction instead of full
-conflict lists, which admits false positives but must never miss a cycle.
-Three rules together cover every dangerous structure: writers collect the
-inbound flag from reader bitmaps and access stamps; readers push the inbound
-flag into a live overwriter the moment they read under its uncommitted write;
-and a reader that finds its version overwritten by an already-committed
-pivot (both flags, partner first) aborts itself, because the pivot can no
-longer be stopped.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .certifier import (
-    ExclusionCertifier, ExclusionViolation, StalenessPolicy,
-    overwriter_outcome,
-)
+from .certifier import Certifier, ExclusionCertifier, SsiCertifier
 from .kernel import (
-    INFINITY, VALUE_MASK, AtomicCell, GlobalClock, Scheme, Status, TableMode,
-    TransactionAborted, TransactionContext, TransactionTable, UsageError,
-    is_tid, spin_until, transition_status, word_value,
+    VALUE_MASK, GlobalClock, Scheme, Status, TableMode, TransactionAborted,
+    TransactionContext, TransactionTable, UsageError, transition_status,
 )
 from .store import Store, WriteConflict
 from .trace import TraceLog
@@ -50,41 +41,8 @@ class CertifierMode(Enum):
 
 
 # Enum members are slow to look up as class attributes on CPython 3.11;
-# the operation path compares against these module constants instead.
+# the operation path compares against this module constant instead.
 _INFLIGHT = Status.INFLIGHT
-_SSN, _SSI = CertifierMode.SSN, CertifierMode.SSI
-
-
-IN_RW = 1       # has an inbound read anti-dependency
-DECIDED = 2     # the owner already ran its commit check
-
-
-class SsiState:
-    """Conflict flags for one transaction under the SSI certifier.
-
-    The inbound flag may be set by conflicting peers, so it lives in an
-    atomic cell together with a "decided" bit the owner raises when it takes
-    its commit decision: a marker that finds the bit set knows its mark came
-    too late and must handle the committed pivot itself.  out_rw and the
-    earliest committed rw-partner stamp are owner-private and final before
-    the decision.  Flags are only ever set, never cleared.
-    """
-
-    __slots__ = ("in_rw", "out_rw", "partner_commit")
-
-    def __init__(self):
-        self.in_rw = AtomicCell(0)
-        self.out_rw = False
-        self.partner_commit = None
-
-    def fold_partner(self, cstamp: int) -> None:
-        self.out_rw = True
-        if self.partner_commit is None or cstamp < self.partner_commit:
-            self.partner_commit = cstamp
-
-    def committed_pivot(self, cstamp: int) -> bool:
-        return (self.out_rw and self.partner_commit is not None
-                and self.partner_commit < cstamp)
 
 
 class Engine:
@@ -99,18 +57,22 @@ class Engine:
             raise UsageError("the ssi certifier runs on top of si only")
         if observe and certifier is not CertifierMode.SSN:
             raise UsageError("observe mode records exclusion checks; needs ssn")
+        if read_mostly_threshold < 0:
+            raise ValueError("staleness threshold must be >= 0")
         self.scheme = scheme
         self.certifier = certifier
-        self.serial_commit = serial_commit
-        self.observe = observe
         self.clock = GlobalClock()
         self.table = TransactionTable()
         self.store = Store(db_size, self.table)
         self.trace = trace
-        self.cert = ExclusionCertifier(
-            self.clock, self.table,
-            staleness=StalenessPolicy(read_mostly_threshold),
-            observe=observe)
+        if certifier is CertifierMode.SSN:
+            self.cert = ExclusionCertifier(
+                self.clock, self.table, self.store, serial=serial_commit,
+                observe=observe, threshold=read_mostly_threshold)
+        elif certifier is CertifierMode.SSI:
+            self.cert = SsiCertifier(self.clock, self.table, self.store)
+        else:
+            self.cert = Certifier(self.clock, self.table, self.store)
 
     # ---------------- lifecycle ----------------
 
@@ -120,19 +82,9 @@ class Engine:
         start = self.clock.current()
         ctx = TransactionContext(
             tid, slot, self.scheme, read_only=read_only,
-            read_mostly=read_mostly, begin_stamp=start, start_stamp=start)
-        if self.scheme is Scheme.RC:
-            ctx.begin_stamp = 0
-        snapshot = self.cert.current_snapshot()
-        if (read_only and self.certifier is CertifierMode.SSN
-                and snapshot is not None):
-            # Read-only queries on the safe snapshot skip certification
-            # entirely; the snapshot stamp is both visibility cut and
-            # commit stamp.
-            ctx.snapshot_mode = True
-            ctx.begin_stamp = snapshot.stamp
-        if self.certifier is CertifierMode.SSI:
-            ctx.ssi = SsiState()
+            read_mostly=read_mostly, start_stamp=start,
+            begin_stamp=0 if self.scheme is Scheme.RC else start)
+        self.cert.begin(ctx)
         self.table.publish(slot, ctx)
         if self.trace:
             self.trace.begin(tid, slot)
@@ -175,23 +127,13 @@ class Engine:
         version = store.visible_version(ctx, store.records[key],
                                         require_data=require_data)
         own = version.creator_tid == ctx.tid
-        if not own and not ctx.snapshot_mode:
-            store.register_reader(version, ctx.slot)
         cstamp = 0 if own else store.creation_stamp(version)
         if self.trace:
             self.trace.read(ctx.tid, ctx.slot, key, version.creator_tid, cstamp)
-        if own or ctx.snapshot_mode:
-            return version.payload
-        certifier = self.certifier
-        if certifier is _SSN:
-            try:
-                self.cert.on_read(ctx, version, cstamp)
-            except ExclusionViolation as violation:
-                self._fail(ctx, violation.cause)
-        elif certifier is _SSI:
-            self._ssi_on_read(ctx, version)
-        else:
-            ctx.track_read(version)
+        if not own:
+            cause = self.cert.on_read(ctx, version, cstamp)
+            if cause is not None:
+                self._fail(ctx, cause)
         return version.payload
 
     def write(self, ctx: TransactionContext, key: int, payload=None) -> None:
@@ -210,26 +152,19 @@ class Engine:
             prev = version.prev
             self.trace.write(ctx.tid, ctx.slot, key, prev.creator_tid,
                              prev.cstamp & VALUE_MASK)
-        certifier = self.certifier
-        if certifier is _SSN:
-            try:
-                self.cert.on_write(ctx, version)
-            except ExclusionViolation as violation:
-                self._fail(ctx, violation.cause)
-        elif certifier is _SSI:
-            fresh = not ctx.has_written(version)
-            ctx.track_write(version)
-            if fresh:
-                self._ssi_on_write(ctx, version)
-        else:
-            ctx.track_write(version)
+        # A repeated overwrite replaced the payload in place: nothing new.
+        if version not in ctx.writes:
+            ctx.writes[version] = None
+            cause = self.cert.on_write(ctx, version)
+            if cause is not None:
+                self._fail(ctx, cause)
 
     def scan(self, ctx: TransactionContext) -> list:
         """Full-table scan under the table-granularity read mode.
 
         Scan reads skip per-version tracking entirely: they leave reader
         bits and fold stamps like stale reads, and the scan settles its
-        anti-dependencies through the table stamps plus the read-mostly
+        anti-dependencies through the table pstamp plus the read-mostly
         handshake, so the transaction is flagged accordingly.
         """
         self._require_inflight(ctx)
@@ -237,21 +172,20 @@ class Engine:
             raise UsageError("table scans need the ssn certifier")
         ctx.table_modes.add(TableMode.R)
         ctx.read_mostly = True
+        store = self.store
         payloads = []
-        for record in self.store.records:
-            version = self.store.visible_version(ctx, record)
+        for record in store.records:
+            version = store.visible_version(ctx, record)
             own = version.creator_tid == ctx.tid
-            if not own and not ctx.snapshot_mode:
-                self.store.register_reader(version, ctx.slot)
-            cstamp = 0 if own else self.store.creation_stamp(version)
+            cstamp = 0 if own else store.creation_stamp(version)
             if self.trace:
                 self.trace.read(ctx.tid, ctx.slot, record.key,
                                 version.creator_tid, cstamp)
-            if not own and not ctx.snapshot_mode:
-                try:
-                    self.cert.on_read(ctx, version, cstamp, force_untracked=True)
-                except ExclusionViolation as violation:
-                    self._fail(ctx, violation.cause)
+            if not own:
+                cause = self.cert.on_read(ctx, version, cstamp,
+                                          force_untracked=True)
+                if cause is not None:
+                    self._fail(ctx, cause)
             payloads.append(version.payload)
         return payloads
 
@@ -260,7 +194,8 @@ class Engine:
         for mode in modes:
             ctx.table_modes.add(TableMode(mode))
 
-    def take_safe_snapshot(self):
+    def take_safe_snapshot(self) -> int:
+        """Publish a safe snapshot; returns its stamp."""
         if self.certifier is not CertifierMode.SSN:
             raise UsageError("safe snapshots need the ssn certifier")
         return self.cert.take_safe_snapshot()
@@ -268,14 +203,14 @@ class Engine:
     # ---------------- commit ----------------
 
     def commit(self, ctx: TransactionContext) -> int:
-        """Run the configured pre-commit and post-commit; returns the stamp.
+        """Run the certifier's pre-commit and post-commit; returns the stamp.
 
         Raises TransactionAborted when certification refuses the commit.
         """
         self._require_inflight(ctx)
-        if (self.serial_commit and self.certifier is _SSN
-                and not ctx.snapshot_mode):
-            with self.cert.latch:
+        latch = self.cert.latch
+        if latch is not None and not ctx.snapshot_mode:
+            with latch:
                 return self._commit(ctx)
         return self._commit(ctx)
 
@@ -289,139 +224,19 @@ class Engine:
         reason for it, and the oracle ignores unfinished transactions.
         """
         try:
-            if ctx.snapshot_mode:
-                return self._commit_snapshot_query(ctx)
-            if self.certifier is _SSN:
-                return self._commit_certified(ctx, serial=self.serial_commit)
-            if self.certifier is _SSI:
-                return self._commit_ssi(ctx)
-            return self._commit_plain(ctx)
+            cause = self.cert.pre_commit(ctx)
+            if cause is not None:
+                self._fail(ctx, cause, Status.COMMITTING)
+            transition_status(ctx, Status.COMMITTING, Status.COMMITTED)
         except BaseException:
             if ctx.status == Status.COMMITTING:
                 self._abort_cleanup(ctx, None, Status.COMMITTING)
             raise
-
-    def _commit_snapshot_query(self, ctx) -> int:
-        stamp = ctx.begin_stamp
-        transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
-        ctx.cstamp = stamp
-        transition_status(ctx, Status.COMMITTING, Status.COMMITTED)
-        if self.trace:
-            self.trace.commit(ctx.tid, ctx.slot, stamp)
-        self.table.clear(ctx.slot)
-        return stamp
-
-    def _commit_certified(self, ctx, *, serial: bool) -> int:
-        cstamp = self.cert.acquire_commit_stamp(ctx)
-        if serial:
-            cause = self.cert.certify_serial(ctx, self.store)
-        else:
-            cause = self.cert.certify_parallel(ctx, self.store)
-        if cause is not None:
-            if not self.observe:
-                self._fail(ctx, cause, Status.COMMITTING)
-            ctx.observed_violation = True
-        self._finish_commit(ctx, cstamp)
-        self.cert.table_commit_actions(ctx, self.store)
-        return cstamp
-
-    def _commit_ssi(self, ctx) -> int:
-        transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
-        cstamp = self.clock.next()
-        ctx.cstamp = cstamp
-        self._ssi_pre_commit(ctx, cstamp)
-        ctx.fold_sstamp(cstamp)
-        self._finish_commit(ctx, cstamp)
-        return cstamp
-
-    def _commit_plain(self, ctx) -> int:
-        transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
-        cstamp = self.clock.next()
-        ctx.cstamp = cstamp
-        ctx.fold_sstamp(cstamp)
-        self._finish_commit(ctx, cstamp)
-        return cstamp
-
-    def _finish_commit(self, ctx, cstamp: int) -> None:
-        transition_status(ctx, Status.COMMITTING, Status.COMMITTED)
+        cstamp = ctx.cstamp
         if self.trace:
             self.trace.commit(ctx.tid, ctx.slot, cstamp)
         self.store.finalize_commit(ctx)
-        if ctx.read_mostly:
-            self.table.record_commit_stamp(ctx.slot, cstamp)
+        self.cert.post_commit(ctx)
         self._clear_reader_bits(ctx)
         self.table.clear(ctx.slot)
-
-    # ---------------- the ssi certifier ----------------
-
-    def _ssi_on_read(self, ctx, version) -> None:
-        while True:
-            word = version.sstamp
-            if word == INFINITY:
-                ctx.track_read(version)
-                return
-            if not is_tid(word):
-                self._ssi_committed_overwrite(ctx, version)
-                return
-            peer = self.table.get(word_value(word))
-            if peer is None:
-                # Overwriter concluded; its sstamp settles on re-read.
-                spin_until(lambda: version.sstamp != word,
-                           "overwriter %d to conclude" % word_value(word))
-                continue
-            self._ssi_mark_inbound(ctx, peer)
-            ctx.ssi.out_rw = True
-            ctx.track_read(version)
-            return
-
-    def _ssi_mark_inbound(self, ctx, peer) -> None:
-        """Record that peer has an inbound anti-dependency (from ctx).
-
-        If peer already took its commit decision the mark arrived too late;
-        when the flags peer froze make it a committed pivot, the marker is
-        the only transaction left that can break the structure, so it aborts
-        (conservatively even if peer itself ended up aborting).
-        """
-        if peer.ssi is None or peer is ctx:
-            return
-        seen = peer.ssi.in_rw.fetch_or(IN_RW)
-        if seen & DECIDED and peer.ssi.committed_pivot(peer.cstamp):
-            self._fail(ctx, "ssi_dangerous", ctx.status)
-
-    def _ssi_committed_overwrite(self, ctx, version) -> None:
-        mark = version.ssi_mark
-        assert mark is not None, "ssi engine found an unmarked overwrite"
-        overwriter_cstamp, overwriter_out, overwriter_partner = mark
-        ctx.ssi.fold_partner(overwriter_cstamp)
-        if (overwriter_out and overwriter_partner is not None
-                and overwriter_partner < overwriter_cstamp):
-            # The overwriter is a committed pivot; this read closes the
-            # structure and the reader is the only one left to stop.
-            self._fail(ctx, "ssi_dangerous", ctx.status)
-
-    def _ssi_on_write(self, ctx, version) -> None:
-        prev = version.prev
-        foreign_bits = prev.readers & ~(1 << ctx.slot)
-        if foreign_bits or prev.pstamp > prev.committed_stamp():
-            ctx.ssi.in_rw.fetch_or(IN_RW)
-
-    def _ssi_pre_commit(self, ctx, cstamp: int) -> None:
-        for version in ctx.reads:
-            kind, value = overwriter_outcome(self.table, version, ctx)
-            if kind in ("own", "unwritten"):
-                continue
-            if kind == "final":
-                self._ssi_committed_overwrite(ctx, version)
-            elif kind == "committed":
-                peer = value
-                ctx.ssi.fold_partner(peer.cstamp)
-                if (peer.ssi is not None
-                        and peer.ssi.committed_pivot(peer.cstamp)):
-                    self._fail(ctx, "ssi_dangerous", Status.COMMITTING)
-            else:  # pending
-                self._ssi_mark_inbound(ctx, value)
-                ctx.ssi.out_rw = True
-        decision = ctx.ssi.in_rw.fetch_or(DECIDED)
-        if (decision & IN_RW and ctx.ssi.committed_pivot(cstamp)
-                and not ctx.read_only):
-            self._fail(ctx, "ssi_dangerous", Status.COMMITTING)
+        return cstamp

@@ -20,7 +20,12 @@ shares: the sstamp claim and its restore (VersionMeta.swap_sstamp), setting
 a reader bit (Store.register_reader), and two batches that take the lock
 once per transaction, not once per version: a committer's pstamp raise over
 its whole read set (Store.finalize_commit) and clearing its reader bits
-(Store.clear_readers).  Record heads and the table stamps stay AtomicCells.
+(Store.clear_readers).  Record heads and the table pstamp stay AtomicCells.
+
+The store keeps no certifier state beyond these words.  A reader bit goes up
+only when a certifier registers the read, and finalize_commit raises the
+access stamps of the committer's read set, which the bare scheme leaves
+empty.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ class NotFound(LookupError):
 
 class VersionMeta:
     __slots__ = ("record", "creator_tid", "cstamp", "pstamp", "sstamp", "prev",
-                 "readers", "payload", "ssi_mark")
+                 "readers", "payload")
 
     def __init__(self, record, creator_tid: int, cstamp_word: int, prev, payload):
         self.record = record
@@ -61,7 +66,6 @@ class VersionMeta:
         self.prev = prev
         self.readers = 0
         self.payload = payload
-        self.ssi_mark = None  # (cstamp, out_rw, partner_commit) after an SSI commit
 
     def committed_stamp(self) -> int:
         word = self.cstamp
@@ -87,16 +91,6 @@ class Record:
         self.head = AtomicCell(VersionMeta(self, 0, ts_word(0), None, None))
 
 
-class TableStamps:
-    """Pseudo-version stamps for table-granularity scan/update modes."""
-
-    __slots__ = ("pstamp", "sstamp")
-
-    def __init__(self):
-        self.pstamp = AtomicCell(0)
-        self.sstamp = AtomicCell(INFINITY)
-
-
 class Store:
     """A single flat table of db_size records.
 
@@ -111,7 +105,9 @@ class Store:
         if size < 1:
             raise ValueError("store needs at least one record")
         self.records = [Record(k) for k in range(size)]
-        self.table_stamps = TableStamps()
+        # Largest commit stamp of a table scan: the access stamp of the
+        # whole table, which table updates fold into their pstamp.
+        self.table_pstamp = AtomicCell(0)
         self.table = table
 
     def __len__(self):
@@ -254,9 +250,6 @@ class Store:
                         version.pstamp = cstamp
         pi = ctx.sstamp & VALUE_MASK
         for version in ctx.writes:
-            if ctx.ssi is not None:
-                version.prev.ssi_mark = (
-                    cstamp, ctx.ssi.out_rw, ctx.ssi.partner_commit)
             version.prev.sstamp = ts_word(pi)
             version.pstamp = cstamp
             version.cstamp = ts_word(cstamp)

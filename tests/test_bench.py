@@ -1,5 +1,8 @@
 """Workload harness: determinism, accounting invariants, CLI surface."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 from mvcert import (
@@ -201,3 +204,19 @@ class TestTraceRoundTrip:
             parse_trace(["begin 1 0", line])
         assert str(caught.value).startswith(message)
         assert caught.value.index == 1
+
+
+def test_perfbench_spans_find_every_timed_callable(monkeypatch):
+    # perfbench's traced run patches each callable it times through
+    # owner.__dict__[attr]; one that moved to a base class or was renamed
+    # would stop `perfbench/run.py --trace 1` with a KeyError.
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    missing = ["%s.%s" % (getattr(owner, "__name__", owner), attr)
+               for owner, attr, _ in spans.TIMED
+               if attr not in owner.__dict__]
+    assert missing == []
+    assert all(attr in spans.AtomicCell.__dict__
+               for attr in spans.RMW_METHODS)
+    assert "next" in spans.GlobalClock.__dict__

@@ -7,7 +7,6 @@ import pytest
 from mvcert import (
     INFINITY, CertifierMode, Engine, Scheme, TransactionAborted,
     build_graph, check_trace, find_violations, replay_scripted,
-    verify_exclusion,
 )
 from mvcert.kernel import Status, TableMode, is_locked, word_value
 from mvcert.trace import TraceLog
@@ -27,18 +26,6 @@ T1 write A
 
 def outcomes(result):
     return {label: outcome[0] for label, outcome in result.outcomes.items()}
-
-
-class TestVerifyExclusion:
-    def test_no_successor_always_passes(self):
-        assert not verify_exclusion(0, INFINITY)
-        assert not verify_exclusion(10 ** 9, INFINITY)
-
-    def test_equality_is_inclusive(self):
-        assert verify_exclusion(5, 5)
-
-    def test_clear_window_passes(self):
-        assert not verify_exclusion(3, 7)
 
 
 class TestReadWriteHooks:
@@ -207,7 +194,7 @@ class TestSafeSnapshots:
         with pytest.raises(TransactionAborted) as failure:
             engine.commit(writer)
         assert failure.value.reason == "safe_snapshot"
-        assert snap.stamp == 3
+        assert snap == 3
 
     def test_writer_without_back_edge_commits_despite_snapshot(self):
         engine = Engine(4, SI, SSN)
@@ -230,7 +217,7 @@ class TestSafeSnapshots:
         assert query.snapshot_mode
         assert engine.read(query, 0) == "a0"
         assert not query.reads and query.tracked_reads == 0
-        assert engine.commit(query) == snap.stamp
+        assert engine.commit(query) == snap
         assert check_trace(engine.trace.merged()).clean
 
 
@@ -424,7 +411,7 @@ class TestTableModes:
         assert engine.scan(scanner) == [None] * 4
         engine.commit(scanner)
         assert scanner.status == Status.COMMITTED
-        assert engine.store.table_stamps.pstamp.load() == scanner.cstamp
+        assert engine.store.table_pstamp.load() == scanner.cstamp
 
     def test_point_update_without_scans_sees_zero_table_pstamp(self):
         engine = Engine(4, SI, SSN)
@@ -432,7 +419,7 @@ class TestTableModes:
         engine.declare_table_mode(writer, TableMode.IW, TableMode.W)
         engine.write(writer, 2, "v")
         engine.commit(writer)
-        assert engine.store.table_stamps.pstamp.load() == 0
+        assert engine.store.table_pstamp.load() == 0
 
     def test_insert_after_committed_scan_inherits_its_stamp(self):
         engine = Engine(4, SI, SSN)

@@ -119,7 +119,7 @@ class TestAtomicCell:
 
     def test_versions_carry_no_per_cell_lock(self):
         # One creator for every version, so only the versions count.  A
-        # flat version takes about 104 B; a cell per stamp word cost 264 B,
+        # flat version takes about 96 B; a cell per stamp word cost 264 B,
         # a lock per cell about 650 B.
         record = Record(0)
         word = tid_word(65)
@@ -135,7 +135,7 @@ class TestAtomicCell:
         assert head is not None
         assert not any(isinstance(getattr(head, name), AtomicCell)
                        for name in VersionMeta.__slots__)
-        assert retained / 10_000 <= 128
+        assert retained / 10_000 <= 100
 
     def test_records_stay_small(self):
         # A record, its head cell and its initial version: about 232 B.
@@ -206,7 +206,7 @@ def _committed_reader():
     store = Store(2)
     ctx = _ctx()
     for record in store.records:
-        ctx.track_read(record.head.load())
+        ctx.reads[record.head.load()] = None
     ctx.status, ctx.cstamp, ctx.sstamp = Status.COMMITTED, 3, 3
     return store, ctx
 
@@ -273,8 +273,7 @@ class TestLockDiscipline:
         # Every method of the classes that own shared words, apart from
         # these, changes a shared word.  The Store entries are listed by
         # hand: most of its methods reach their words through the others.
-        plain = {"load", "store", "committed_stamp", "track_read",
-                 "track_write", "has_written"}
+        plain = {"load", "store", "committed_stamp"}
         defined = {"%s.%s" % (cls.__name__, name)
                    for cls in (AtomicCell, VersionMeta, TransactionContext)
                    for name, value in vars(cls).items()
@@ -467,4 +466,4 @@ def test_stamp_resolution_waits_through_spin_until(monkeypatch):
     with pytest.raises(RuntimeError, match="spin limit"):
         overwriter_outcome(engine.table, version, ctx)
     with pytest.raises(RuntimeError, match="spin limit"):
-        engine._ssi_on_read(ctx, version)
+        engine.cert.on_read(ctx, version, 0)

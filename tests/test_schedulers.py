@@ -78,6 +78,11 @@ class TestSchemeDispatch:
         engine.read(reader, 0)
         assert reader.pstamp == writer.cstamp
 
+    @pytest.mark.parametrize("mode", list(CertifierMode))
+    def test_negative_staleness_threshold_is_refused(self, mode):
+        with pytest.raises(ValueError, match="staleness threshold"):
+            Engine(2, SI, mode, read_mostly_threshold=-1)
+
     def test_ssi_requires_si(self):
         with pytest.raises(UsageError):
             Engine(2, RC, SSI)
@@ -171,6 +176,20 @@ class TestSsiCertifier:
 
 
 class TestPlainSchemes:
+    def test_none_leaves_no_certifier_state(self):
+        # The bare scheme sets no reader bit, keeps no read set and raises
+        # no access stamp.
+        engine = Engine(2, SI, NONE)
+        writer = engine.begin(0)
+        engine.write(writer, 0, "x")
+        engine.commit(writer)
+        version = engine.store.record(0).head.load()
+        reader = engine.begin(1)
+        assert engine.read(reader, 0) == "x"
+        assert version.readers == 0
+        assert not reader.reads and reader.tracked_reads == 0
+        assert engine.commit(reader) > version.pstamp == writer.cstamp
+
     def test_pure_si_write_skew_commits_and_oracle_sees_one_cycle(self):
         result = replay_scripted(WRITE_SKEW, SI, NONE)
         assert outcomes(result) == {"T1": "committed", "T2": "committed"}
@@ -204,7 +223,7 @@ class TestFailureAtomicity:
         engine.read(ctx, 0)
         engine.write(ctx, 1, "doomed")
 
-        def explode(self, ctx, store):
+        def explode(self, ctx):
             raise RuntimeError("injected")
 
         name = "certify_serial" if serial else "certify_parallel"

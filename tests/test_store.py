@@ -19,7 +19,7 @@ def make_ctx(table, slot=0, scheme=Scheme.SI, begin=0):
 def committed_version(store, record, ctx, stamp, payload):
     """Install and immediately finalize one version (test plumbing)."""
     version = store.install_version(ctx, record, payload)
-    ctx.track_write(version)
+    ctx.writes[version] = None
     transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
     ctx.cstamp = stamp
     ctx.fold_sstamp(stamp)
@@ -95,7 +95,7 @@ class TestVisibility:
         committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "v3")
         writer = make_ctx(table, 2, Scheme.SI, begin=3)
         version = store.install_version(writer, record, "v9")
-        writer.track_write(version)
+        writer.writes[version] = None
         transition_status(writer, Status.INFLIGHT, Status.COMMITTING)
         writer.cstamp = 9
         transition_status(writer, Status.COMMITTING, Status.COMMITTED)
@@ -176,7 +176,7 @@ class TestFinalizeAndRollback:
         version = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
         version.pstamp = 4
         reader = make_ctx(table, 0, Scheme.RC)
-        reader.track_read(version)
+        reader.reads[version] = None
         transition_status(reader, Status.INFLIGHT, Status.COMMITTING)
         reader.cstamp = 9
         reader.fold_sstamp(9)
@@ -199,7 +199,7 @@ class TestFinalizeAndRollback:
         prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
         writer = make_ctx(table, 0, Scheme.RC)
         version = store.install_version(writer, record, "doomed")
-        writer.track_write(version)
+        writer.writes[version] = None
         transition_status(writer, Status.INFLIGHT, Status.ABORTED)
         store.rollback(writer)
         assert record.head.load() is prev
@@ -211,9 +211,9 @@ class TestFinalizeAndRollback:
         record = store.record(0)
         prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
         ctx = make_ctx(table, 0, Scheme.RC)
-        ctx.track_read(prev)
+        ctx.reads[prev] = None
         version = store.install_version(ctx, record, "y")
-        ctx.track_write(version)
+        ctx.writes[version] = None
         transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
         ctx.cstamp = 8
         ctx.fold_sstamp(8)
