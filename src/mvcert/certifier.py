@@ -30,14 +30,15 @@ a potential dependency cycle, so it aborts:
 
     violation  <=>  sstamp <= pstamp
 
-Two commit paths compute the same verdict.  The serial path holds the latch
-around the whole commit and reads version stamps directly.  The parallel
-path is latch-free: versions may carry an overwriter's transaction id
-instead of a final stamp, which is resolved through the transaction table,
-spinning only on peers that already hold a smaller commit stamp and are
-still mid-commit.  Entering the COMMITTING status strictly before drawing
-the commit stamp is what makes those spins sound: any peer observed
-in-flight is guaranteed to draw a larger stamp.
+Two commit paths compute the same verdict and differ only in the latch and
+in how they read the overwrite words of their read set.  The serial path
+holds the latch around the whole commit and reads the words directly.  The
+parallel path is latch-free: a word may carry an overwriter's transaction
+id instead of a final stamp, which is resolved through the transaction
+table with kernel.settle, waiting only on peers that already hold a smaller
+commit stamp and are still mid-commit.  Both then run one shared tail: the
+reader sweep and handshake, the table and snapshot pstamps, the seal of a
+read-mostly transaction's sstamp, and the window test.
 
 SSN also owns the active safe snapshot (a published stamp that acts as a
 reader of every record, folded into overwriters' pstamp), the read-only
@@ -61,15 +62,13 @@ from __future__ import annotations
 import threading
 
 from .kernel import (
-    INFINITY, LOCK_BIT, TID_TAG, VALUE_MASK, AtomicCell, GlobalClock, Scheme,
-    Status, TableMode, TransactionContext, TransactionTable, is_tid,
-    spin_until, transition_status, word_value,
+    COMMITTING, INFINITY, INFLIGHT, LOCK_BIT, PENDING, TID_TAG, VALUE_MASK,
+    AtomicCell, GlobalClock, Scheme, TableMode, TransactionContext,
+    TransactionTable, is_tid, settle, spin_until, transition_status,
+    word_value,
 )
 from .store import Store, VersionMeta
 
-# Enum members are slow to look up as class attributes on CPython 3.11;
-# the hooks compare against these module constants instead.
-_INFLIGHT, _COMMITTING = Status.INFLIGHT, Status.COMMITTING
 _UPDATE_MODES = frozenset((TableMode.IW, TableMode.W))
 _SCAN_MODES = frozenset((TableMode.R, TableMode.IR))
 
@@ -89,9 +88,9 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
     branching, because the owner may finalize it at any moment.  A tid whose
     context is gone means the owner concluded, and an aborted owner is
     undoing its claim; either way the field is about to hold (or already
-    holds) other content, which we wait for and re-read.
+    holds) other content, which we wait for and re-read.  ctx must have
+    drawn its commit stamp: settle judges the overwriter against it.
     """
-    my_cstamp = ctx.cstamp
     while True:
         word = version.sstamp
         if word == INFINITY:
@@ -102,19 +101,11 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
             return "own", None
         peer = table.get(word_value(word))
         if peer is not None:
-            if peer.status == Status.INFLIGHT:
+            stamp = settle(peer, ctx.cstamp)
+            if stamp == PENDING:
                 return "pending", peer
-            # A peer that aborted before drawing a stamp never fills cstamp in.
-            spin_until(lambda: peer.cstamp != 0
-                       or peer.status == Status.ABORTED,
-                       "peer %d commit stamp" % peer.tid)
-            if peer.cstamp != 0:
-                if my_cstamp and peer.cstamp >= my_cstamp:
-                    return "pending", peer
-                spin_until(lambda: peer.status != Status.COMMITTING,
-                           "peer %d pre-commit" % peer.tid)
-                if peer.status == Status.COMMITTED:
-                    return "committed", peer
+            if stamp:
+                return "committed", peer
         spin_until(lambda: version.sstamp != word,
                    "overwriter %d to conclude" % word_value(word))
 
@@ -146,7 +137,7 @@ class Certifier:
         return None
 
     def pre_commit(self, ctx: TransactionContext) -> str | None:
-        transition_status(ctx, _INFLIGHT, _COMMITTING)
+        transition_status(ctx, INFLIGHT, COMMITTING)
         cstamp = self.clock.next()
         ctx.cstamp = cstamp
         ctx.fold_sstamp(cstamp)
@@ -274,7 +265,7 @@ class ExclusionCertifier(Certifier):
 
     def pre_commit(self, ctx: TransactionContext) -> str | None:
         if ctx.snapshot_mode:
-            transition_status(ctx, _INFLIGHT, _COMMITTING)
+            transition_status(ctx, INFLIGHT, COMMITTING)
             ctx.cstamp = ctx.begin_stamp
             return None
         self.acquire_commit_stamp(ctx)
@@ -289,6 +280,7 @@ class ExclusionCertifier(Certifier):
 
     def acquire_commit_stamp(self, ctx: TransactionContext) -> None:
         """COMMITTING transition, then the stamp draw; order is mandatory.
+        The stamp then caps sstamp: no successor watermark exceeds it.
 
         A transaction with an empty write set under SI reuses its snapshot
         time, which keeps access stamps low for the updaters it precedes.
@@ -299,13 +291,14 @@ class ExclusionCertifier(Certifier):
         a fresh stamp turns the conflict into an ordinary back edge that
         pre-commit certifies.
         """
-        transition_status(ctx, _INFLIGHT, _COMMITTING)
+        transition_status(ctx, INFLIGHT, COMMITTING)
         if (not ctx.writes and ctx.scheme is Scheme.SI
                 and ctx.begin_stamp > 0 and ctx.untracked_reads == 0
                 and all(v.sstamp == INFINITY for v in ctx.reads)):
             ctx.cstamp = ctx.begin_stamp
         else:
             ctx.cstamp = self.clock.next()
+        ctx.fold_sstamp(ctx.cstamp)
 
     def certify_serial(self, ctx: TransactionContext) -> str | None:
         """Watermark finalization and the window test, latched variant.
@@ -314,7 +307,6 @@ class ExclusionCertifier(Certifier):
         caller must hold self.latch from before this call until the
         post-commit propagation (or rollback) has finished.
         """
-        ctx.fold_sstamp(ctx.cstamp)
         for version in ctx.reads:
             word = version.sstamp
             if word == INFINITY or is_tid(word):
@@ -323,19 +315,6 @@ class ExclusionCertifier(Certifier):
                 # latch, so it counts as no committed overwrite.
                 continue
             ctx.fold_sstamp(word_value(word))
-        pstamp = ctx.pstamp
-        if self.threshold > 0:
-            # Untracked readers leave no access stamps behind, so even the
-            # latched path must consult the bitmaps when the read-mostly
-            # optimization is active.
-            pstamp, handshake_failed = self._reader_sweep(ctx, pstamp)
-        else:
-            handshake_failed = False
-            for version in ctx.writes:
-                pstamp = max(pstamp, version.prev.pstamp)
-        ctx.pstamp = pstamp
-        if handshake_failed:
-            return "ssn_exclusion"
         return self._window_test(ctx)
 
     def certify_parallel(self, ctx: TransactionContext) -> str | None:
@@ -343,7 +322,6 @@ class ExclusionCertifier(Certifier):
 
         Returns the abort cause, or None when the commit may proceed.
         """
-        ctx.fold_sstamp(ctx.cstamp)
         for version in ctx.reads:
             if version.sstamp == INFINITY:
                 continue  # not overwritten: nothing to resolve
@@ -353,61 +331,7 @@ class ExclusionCertifier(Certifier):
             elif kind == "committed":
                 ctx.fold_sstamp(word_value(value.sstamp))
             # own / unwritten / pending contribute nothing
-
-        pstamp, handshake_failed = self._reader_sweep(ctx, ctx.pstamp)
-        ctx.pstamp = pstamp
-        if handshake_failed:
-            return "ssn_exclusion"
-        return self._window_test(ctx, seal=ctx.read_mostly)
-
-    def _reader_sweep(self, ctx: TransactionContext, pstamp: int):
-        """Fold committed readers of overwritten versions into pstamp.
-
-        Walks the readers bitmap of each overwritten predecessor.  Readers
-        holding an earlier commit stamp are waited out and folded; the
-        per-slot last commit stamp covers untracked readers that already
-        left; in-flight read-mostly readers get this updater's successor
-        watermark pushed into their sstamp (the handshake), unless they
-        sealed first, which aborts the updater.  Re-reading the predecessor's
-        access stamp at the end catches any reader the bitmap walk missed.
-        The caller has already folded every read into that watermark.
-        """
-        my_cstamp = ctx.cstamp
-        handshake_failed = False
-        for version in ctx.writes:
-            prev = version.prev
-            bits = prev.readers
-            while bits:
-                slot = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                if slot == ctx.slot:
-                    continue
-                last = self.table.last_cstamp(slot)
-                if 0 < last < my_cstamp:
-                    pstamp = max(pstamp, last)
-                reader = self.table.slots[slot].current
-                if reader is None or reader is ctx:
-                    continue
-                status = reader.status
-                settled = False
-                if status != Status.INFLIGHT:
-                    spin_until(lambda: reader.cstamp != 0
-                               or reader.status == Status.ABORTED,
-                               "reader %d commit stamp" % reader.tid)
-                    reader_cstamp = reader.cstamp
-                    if reader_cstamp == 0:
-                        continue  # aborted before pre-commit; nothing to fold
-                    if reader_cstamp < my_cstamp:
-                        spin_until(lambda: reader.status != Status.COMMITTING,
-                                   "reader %d pre-commit" % reader.tid)
-                        settled = True
-                        if reader.status == Status.COMMITTED:
-                            pstamp = max(pstamp, reader_cstamp)
-                if reader.read_mostly and not settled:
-                    if not self._handshake(reader, ctx.sstamp & VALUE_MASK):
-                        handshake_failed = True
-            pstamp = max(pstamp, prev.pstamp)
-        return pstamp, handshake_failed
+        return self._window_test(ctx)
 
     @staticmethod
     def _handshake(reader: TransactionContext, sstamp: int) -> bool:
@@ -430,15 +354,54 @@ class ExclusionCertifier(Certifier):
             if reader.swap_sstamp(word, sstamp):
                 return True
 
-    def _window_test(self, ctx: TransactionContext, *,
-                     seal: bool = False) -> str | None:
+    def _window_test(self, ctx: TransactionContext) -> str | None:
+        """The tail both commit paths share, once the read set is folded.
+
+        First the reader sweep: it walks the readers bitmap of each
+        overwritten predecessor.  The per-slot last commit stamp covers
+        untracked readers that already left; a reader that committed below
+        this commit stamp folds into pstamp (settle waits it out); an
+        in-flight read-mostly reader, or one holding a later stamp, gets
+        this updater's successor watermark pushed into its sstamp (the
+        handshake), unless it sealed first, which aborts the updater.
+        Re-reading the predecessor's access stamp at the end catches any
+        reader the bitmap walk missed.  Then table updates fold in the table
+        pstamp, a read-mostly transaction seals its sstamp, and the window
+        test decides.  Returns the abort cause, or None.
+        """
+        my_cstamp = ctx.cstamp
         pstamp = ctx.pstamp
+        handshake_failed = False
+        for version in ctx.writes:
+            prev = version.prev
+            bits = prev.readers
+            while bits:
+                slot = (bits & -bits).bit_length() - 1
+                bits &= bits - 1
+                if slot == ctx.slot:
+                    continue
+                last = self.table.last_cstamp(slot)
+                if 0 < last < my_cstamp:
+                    pstamp = max(pstamp, last)
+                reader = self.table.slots[slot].current
+                if reader is None or reader is ctx:
+                    continue
+                stamp = settle(reader, my_cstamp)
+                if stamp > 0:
+                    pstamp = max(pstamp, stamp)
+                elif stamp == PENDING and reader.read_mostly:
+                    if not self._handshake(reader, ctx.sstamp & VALUE_MASK):
+                        handshake_failed = True
+            pstamp = max(pstamp, prev.pstamp)
+        ctx.pstamp = pstamp
+        if handshake_failed:
+            return "ssn_exclusion"
         if ctx.table_modes & _UPDATE_MODES:
             # Table updates inherit every committed scan as a predecessor.
             pstamp = max(pstamp, self.store.table_pstamp.load())
-        ctx.pstamp = pstamp
+            ctx.pstamp = pstamp
         snap = self._snapshot_pstamp(ctx)
-        if seal:
+        if ctx.read_mostly:
             # From here on no updater may lower our sstamp; one that tries
             # will fail its compare-and-swap and abort itself.
             ctx.seal_sstamp()

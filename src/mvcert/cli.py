@@ -160,16 +160,13 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    programs, labels = [], []
-    for index, path in enumerate(args.scripts):
+    programs = []
+    for path in args.scripts:
         with open(path) as handle:
             steps = parse_script(handle.read())
-        label = "T%d" % (index + 1)
-        program = [(step.op, step.key) for step in steps]
-        programs.append(program)
-        labels.append(label)
+        programs.append([(step.op, step.key) for step in steps])
     histories = cyclic = flagged_ok = 0
-    for history in enumerate_interleavings(programs, labels):
+    for history in enumerate_interleavings(programs):
         histories += 1
         if history.cyclic:
             cyclic += 1

@@ -12,7 +12,9 @@ the seal and the handshake's sstamp compare-and-swap for a transaction).
 Only record heads, the table pstamp, the clock, the tid sequence and the
 SSI inbound flags keep AtomicCells (plain load/store plus locked fetch-add,
 fetch-or, compare-and-swap).  The lock is not reentrant, so no
-read-modify-write may run another while it holds the lock.
+read-modify-write may run another while it holds the lock.  Every wait for
+a peer's pre-commit verdict goes through one function, settle, which waits
+only on a peer that holds a smaller commit stamp.
 
 Stamp words are 64-bit integers with a fixed layout:
 
@@ -188,6 +190,12 @@ class Status(IntEnum):
     ABORTED = 3
 
 
+# Enum members are slow to look up as class attributes on CPython 3.11; the
+# hot paths of every module compare against these constants instead.
+INFLIGHT, COMMITTING, COMMITTED, ABORTED = (
+    Status.INFLIGHT, Status.COMMITTING, Status.COMMITTED, Status.ABORTED)
+
+
 _LEGAL_EDGES = {
     (Status.INFLIGHT, Status.COMMITTING),
     (Status.COMMITTING, Status.COMMITTED),
@@ -296,6 +304,38 @@ def transition_status(ctx: TransactionContext, src: Status, dst: Status) -> None
     if not ctx.swap_status(src, dst):
         raise IllegalTransition(
             "status of %d is %s, expected %s" % (ctx.tid, ctx.status.name, src.name))
+
+
+# settle's answer for a peer with no verdict that bears on the caller: one in
+# flight, or one whose stamp is at or above the caller's bound.  It is below
+# every commit stamp, so ``settle(...) > 0`` reads "committed below the bound".
+PENDING = -1
+
+
+def settle(peer: TransactionContext, before: int) -> int:
+    """Peer's verdict as far as it bears on commit stamps below before.
+
+    Returns peer's commit stamp when it committed below before, 0 when it
+    aborted, and PENDING when it is in flight or drew a stamp at or above
+    before.  This is the one place where a transaction waits out a peer's
+    pre-commit, and it waits only on a peer that already holds a stamp below
+    before (or has entered COMMITTING and is about to draw one).  Entering
+    COMMITTING strictly before drawing the stamp makes that sound: a peer
+    seen in flight draws a stamp later than any the caller already holds,
+    so no two transactions wait on each other.
+    """
+    if peer.status == INFLIGHT:
+        return PENDING
+    # A peer that aborted before drawing a stamp never fills cstamp in.
+    spin_until(lambda: peer.cstamp or peer.status == ABORTED,
+               "peer %d commit stamp" % peer.tid)
+    cstamp = peer.cstamp
+    if 0 < cstamp < before:
+        spin_until(lambda: peer.status != COMMITTING,
+                   "peer %d verdict" % peer.tid)
+    if peer.status == ABORTED:
+        return 0
+    return cstamp if cstamp < before else PENDING
 
 
 class _Slot:

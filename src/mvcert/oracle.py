@@ -334,15 +334,12 @@ class ReplayResult:
     engine: Engine
     observed: dict[str, bool] = field(default_factory=dict)
 
-    def outcome(self, label: str) -> str:
-        return self.outcomes[label][0]
-
 
 def replay_scripted(steps, scheme: Scheme = Scheme.SI,
                     certifier: CertifierMode = CertifierMode.SSN, *,
                     db_size: int | None = None, serial: bool = True,
-                    observe: bool = False, on_aborted: str = "error",
-                    read_mostly_threshold: int = 0) -> ReplayResult:
+                    observe: bool = False,
+                    on_aborted: str = "error") -> ReplayResult:
     """Execute script steps one at a time against a fresh engine.
 
     Fully deterministic: one OS thread, transaction slots assigned by order
@@ -356,8 +353,7 @@ def replay_scripted(steps, scheme: Scheme = Scheme.SI,
         db_size = max((s.key for s in steps if s.key is not None), default=0) + 1
     trace = TraceLog()
     engine = Engine(db_size, scheme, certifier, serial_commit=serial,
-                    observe=observe, trace=trace,
-                    read_mostly_threshold=read_mostly_threshold)
+                    observe=observe, trace=trace)
     contexts: dict[str, object] = {}
     outcomes: dict[str, tuple] = {}
     observed: dict[str, bool] = {}
@@ -451,23 +447,17 @@ def steps_for_order(programs, labels, order) -> list[ScriptStep]:
 
 @dataclass
 class HistoryResult:
-    order: tuple
-    outcomes: dict
-    graph: DependencyGraph
     cyclic: bool
     offline_flagged: list
     engine_observed: bool
 
 
-def enumerate_interleavings(programs, labels=None, *,
-                            scheme: Scheme = Scheme.RC,
-                            enforce: bool = False):
+def enumerate_interleavings(programs):
     """Replay every interleaving of the given programs.
 
-    Programs are lists of (op, key) pairs ending in ("commit", None).  The
-    default mode runs them under RC with exclusion checks recorded but not
-    enforced, so cyclic histories can complete; enforce=True runs the real
-    certifier instead (used for commit-order sweeps of small scenarios).
+    Programs are lists of (op, key) pairs ending in ("commit", None); the
+    i-th runs as transaction T<i+1>.  They run under RC with exclusion
+    checks recorded but not enforced, so cyclic histories can complete.
 
     Refuses to start when the interleaving count exceeds the guard.
     """
@@ -476,19 +466,14 @@ def enumerate_interleavings(programs, labels=None, *,
         raise UsageError(
             "%d interleavings exceed the enumeration guard of %d"
             % (count, ENUMERATION_GUARD))
-    if labels is None:
-        labels = ["T%d" % (i + 1) for i in range(len(programs))]
+    labels = ["T%d" % (i + 1) for i in range(len(programs))]
     for order in interleavings(programs):
         steps = steps_for_order(programs, labels, order)
         result = replay_scripted(
-            steps, scheme, CertifierMode.SSN, serial=True,
-            observe=not enforce, on_aborted="skip")
-        graph = build_graph(result.trace)
-        sccs = [c for c in strongly_connected_components(graph) if len(c) > 1]
-        cyclic = bool(sccs)
-        flagged = []
-        if cyclic:
-            flagged = [tid for scc in find_violations(graph).flagged for tid in scc]
+            steps, Scheme.RC, CertifierMode.SSN, serial=True, observe=True,
+            on_aborted="skip")
+        report = find_violations(build_graph(result.trace))
         yield HistoryResult(
-            order, result.outcomes, graph, cyclic, flagged,
+            bool(report.sccs),
+            [tid for scc in report.flagged for tid in scc],
             any(result.observed.values()))

@@ -27,8 +27,9 @@ from enum import Enum
 
 from .certifier import Certifier, ExclusionCertifier, SsiCertifier
 from .kernel import (
-    VALUE_MASK, GlobalClock, Scheme, Status, TableMode, TransactionAborted,
-    TransactionContext, TransactionTable, UsageError, transition_status,
+    ABORTED, COMMITTED, COMMITTING, INFLIGHT, VALUE_MASK, GlobalClock, Scheme,
+    TableMode, TransactionAborted, TransactionContext, TransactionTable,
+    UsageError, transition_status,
 )
 from .store import Store, WriteConflict
 from .trace import TraceLog
@@ -38,11 +39,6 @@ class CertifierMode(Enum):
     NONE = "none"
     SSN = "ssn"
     SSI = "ssi"
-
-
-# Enum members are slow to look up as class attributes on CPython 3.11;
-# the operation path compares against this module constant instead.
-_INFLIGHT = Status.INFLIGHT
 
 
 class Engine:
@@ -93,18 +89,18 @@ class Engine:
     def abort(self, ctx: TransactionContext, reason: str = "user") -> None:
         """User-requested abort; conflict paths raise instead."""
         self._require_inflight(ctx)
-        self._abort_cleanup(ctx, reason, Status.INFLIGHT)
+        self._abort_cleanup(ctx, reason, INFLIGHT)
 
     def _abort_cleanup(self, ctx, reason, from_status) -> None:
         """Abort ctx and undo its effects; reason None writes no trace line."""
-        transition_status(ctx, from_status, Status.ABORTED)
+        transition_status(ctx, from_status, ABORTED)
         self.store.rollback(ctx)
         self._clear_reader_bits(ctx)
         if self.trace and reason is not None:
             self.trace.abort(ctx.tid, ctx.slot, reason)
         self.table.clear(ctx.slot)
 
-    def _fail(self, ctx, reason, from_status=Status.INFLIGHT):
+    def _fail(self, ctx, reason, from_status=INFLIGHT):
         self._abort_cleanup(ctx, reason, from_status)
         raise TransactionAborted(reason)
 
@@ -114,14 +110,14 @@ class Engine:
             self.store.clear_readers(ctx.reads, ctx.slot)
 
     def _require_inflight(self, ctx) -> None:
-        if ctx.status != _INFLIGHT:
+        if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
 
     # ---------------- forward processing ----------------
 
     def read(self, ctx: TransactionContext, key: int, *,
              require_data: bool = False):
-        if ctx.status != _INFLIGHT:
+        if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
         store = self.store
         version = store.visible_version(ctx, store.records[key],
@@ -137,7 +133,7 @@ class Engine:
         return version.payload
 
     def write(self, ctx: TransactionContext, key: int, payload=None) -> None:
-        if ctx.status != _INFLIGHT:
+        if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
         if ctx.snapshot_mode:
             raise UsageError("snapshot queries are read-only")
@@ -226,11 +222,11 @@ class Engine:
         try:
             cause = self.cert.pre_commit(ctx)
             if cause is not None:
-                self._fail(ctx, cause, Status.COMMITTING)
-            transition_status(ctx, Status.COMMITTING, Status.COMMITTED)
+                self._fail(ctx, cause, COMMITTING)
+            transition_status(ctx, COMMITTING, COMMITTED)
         except BaseException:
-            if ctx.status == Status.COMMITTING:
-                self._abort_cleanup(ctx, None, Status.COMMITTING)
+            if ctx.status == COMMITTING:
+                self._abort_cleanup(ctx, None, COMMITTING)
             raise
         cstamp = ctx.cstamp
         if self.trace:

@@ -31,14 +31,14 @@ empty.
 from __future__ import annotations
 
 from .kernel import (
-    INFINITY, RMW_LOCK, TID_TAG, VALUE_MASK, AtomicCell, Scheme, Status,
-    TransactionContext, is_tid, spin_until, ts_word, word_value,
+    COMMITTED, INFINITY, RMW_LOCK, TID_TAG, VALUE_MASK, AtomicCell, Scheme,
+    TransactionContext, TransactionTable, is_tid, settle, spin_until,
+    ts_word, word_value,
 )
 
 # Enum members are slow to look up as class attributes on CPython 3.11;
 # the read path compares against these module constants instead.
-_SI, _RC = Scheme.SI, Scheme.RC
-_COMMITTING, _COMMITTED = Status.COMMITTING, Status.COMMITTED
+_SI = Scheme.SI
 
 
 class WriteConflict(Exception):
@@ -94,14 +94,14 @@ class Record:
 class Store:
     """A single flat table of db_size records.
 
-    The optional transaction table enables visibility indirection: a version
-    whose creation stamp still holds the creator's tid belongs to a
-    transaction that may have survived pre-commit already, and snapshot
-    readers must treat it by the creator's verdict rather than skipping it
-    outright, or their reads drift behind the stamp order.
+    The transaction table gives visibility indirection: a version whose
+    creation stamp still holds the creator's tid belongs to a transaction
+    that may have survived pre-commit already, and snapshot readers must
+    treat it by the creator's verdict rather than skipping it outright, or
+    their reads drift behind the stamp order.
     """
 
-    def __init__(self, size: int, table=None):
+    def __init__(self, size: int, table: TransactionTable):
         if size < 1:
             raise ValueError("store needs at least one record")
         self.records = [Record(k) for k in range(size)]
@@ -131,17 +131,19 @@ class Store:
         overwritten version and break the snapshot ordering.  A creator that
         survived pre-commit counts as committed, with its stamp inferred from
         its context instead of the version; post-commit stragglers delay
-        nobody.  An SI reader does wait out a creator whose verdict is still
-        pending, because only the verdict decides whether the version is part
-        of the reader's snapshot; RC readers never wait.
+        nobody.  A snapshot reader settles a creator that holds a stamp
+        inside its snapshot (kernel.settle), because only the verdict decides
+        whether the version is part of the snapshot; RC readers never wait.
         """
+        snapshot = ctx.scheme is _SI or ctx.snapshot_mode
+        begin_stamp = ctx.begin_stamp
         version = record.head.load()
         while version is not None:
             word = version.cstamp
             if word & TID_TAG:
                 if word & VALUE_MASK == ctx.tid:
                     break  # read-own-writes
-                creator = self.table.get(word & VALUE_MASK) if self.table else None
+                creator = self.table.get(word & VALUE_MASK)
                 if creator is None:
                     # Creator concluded: a committed creator finalized the
                     # stamp before vacating its slot, so a still-tagged stamp
@@ -149,21 +151,12 @@ class Store:
                     if version.cstamp & TID_TAG:
                         version = version.prev
                     continue
-                status = creator.status
-                if status == _COMMITTING and \
-                        (ctx.scheme is _SI or ctx.snapshot_mode):
-                    spin_until(lambda: creator.status != _COMMITTING,
-                               "creator %d verdict" % creator.tid)
-                    status = creator.status
-                if status != _COMMITTED:
-                    version = version.prev
-                    continue
-                stamp = creator.cstamp
-            else:
-                stamp = word & VALUE_MASK
-            if ctx.scheme is _RC and not ctx.snapshot_mode:
-                break
-            if stamp <= ctx.begin_stamp:
+                if snapshot:
+                    if settle(creator, begin_stamp + 1) > 0:
+                        break
+                elif creator.status == COMMITTED:
+                    break
+            elif not snapshot or word & VALUE_MASK <= begin_stamp:
                 break
             version = version.prev
         assert version is not None, "chain lost its initial version"
@@ -182,8 +175,8 @@ class Store:
         word = version.cstamp
         if not word & TID_TAG:
             return word & VALUE_MASK
-        creator = self.table.get(word & VALUE_MASK) if self.table else None
-        if creator is not None and creator.status == _COMMITTED:
+        creator = self.table.get(word & VALUE_MASK)
+        if creator is not None and creator.status == COMMITTED:
             stamp = creator.cstamp
             if stamp:
                 return stamp

@@ -223,6 +223,40 @@ def test_criterion_06_serial_parallel_differential():
           "on both commit paths")
 
 
+def _replay_with_read_mostly_t0(steps, scheme, serial, threshold):
+    """Replay a criterion-6 schedule with T0 begun read-mostly."""
+    engine = Engine(4, scheme, SSN, serial_commit=serial,
+                    read_mostly_threshold=threshold)
+    contexts, outcomes = {}, {}
+    for step in steps:
+        if step.label in outcomes:
+            continue
+        ctx = contexts.get(step.label)
+        if ctx is None:
+            ctx = contexts[step.label] = engine.begin(
+                len(contexts), read_mostly=step.label == "T0")
+        try:
+            if step.op == "read":
+                engine.read(ctx, step.key)
+            elif step.op == "write":
+                engine.write(ctx, step.key)
+            else:
+                outcomes[step.label] = ("committed", engine.commit(ctx))
+        except TransactionAborted as aborted:
+            outcomes[step.label] = ("aborted", aborted.reason)
+    return outcomes, engine.store.dump_stamps()
+
+
+@pytest.mark.parametrize("threshold", [0, 2])
+def test_read_mostly_serial_parallel_differential(threshold):
+    for seed in range(1000):
+        steps, scheme = _random_single_thread_schedule(seed)
+        latched = _replay_with_read_mostly_t0(steps, scheme, True, threshold)
+        latchfree = _replay_with_read_mostly_t0(steps, scheme, False,
+                                                threshold)
+        assert latched == latchfree, "seed %d" % seed
+
+
 # Digests of the verdicts, the trace and (except under the bare `none`, which
 # leaves no access stamps) the version stamps of the first 200 criterion-6
 # schedules, recorded before the certifiers moved behind one interface.  ssi

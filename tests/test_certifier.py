@@ -405,13 +405,32 @@ class TestTableModes:
             engine.commit(t2)
         assert check_trace(engine.trace.merged()).clean
 
-    def test_scan_alone_passes_with_infinite_table_sstamp(self):
+    def test_scan_alone_commits_and_raises_table_pstamp(self):
         engine = Engine(4, SI, SSN)
         scanner = engine.begin(0)
         assert engine.scan(scanner) == [None] * 4
         engine.commit(scanner)
         assert scanner.status == Status.COMMITTED
         assert engine.store.table_pstamp.load() == scanner.cstamp
+
+    @pytest.mark.parametrize("serial", [True, False])
+    def test_scan_reads_reach_a_later_updater(self, serial):
+        # U -rw-> T -wr-> S -rw-> U: the scan's reads are untracked and
+        # leave no access stamp, so only U's reader sweep can find S
+        engine = Engine(3, SI, SSN, serial_commit=serial, trace=TraceLog())
+        u = engine.begin(0)
+        engine.read(u, 1)                          # y
+        t = engine.begin(1)
+        engine.write(t, 1, "t")
+        engine.commit(t)
+        s = engine.begin(2)
+        engine.scan(s)
+        engine.commit(s)
+        engine.write(u, 0, "u")                    # x, which S read
+        with pytest.raises(TransactionAborted) as aborted:
+            engine.commit(u)
+        assert aborted.value.reason == "ssn_exclusion"
+        assert check_trace(engine.trace.merged()).clean
 
     def test_point_update_without_scans_sees_zero_table_pstamp(self):
         engine = Engine(4, SI, SSN)

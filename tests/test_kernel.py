@@ -10,9 +10,9 @@ import pytest
 import mvcert
 from mvcert import kernel
 from mvcert.kernel import (
-    INFINITY, LOCK_BIT, TID_TAG, VALUE_MASK, AtomicCell, GlobalClock,
+    INFINITY, LOCK_BIT, PENDING, TID_TAG, VALUE_MASK, AtomicCell, GlobalClock,
     IllegalTransition, Scheme, Status, TransactionContext, TransactionTable,
-    UsageError, is_locked, is_tid, spin_until,
+    UsageError, is_locked, is_tid, settle, spin_until,
     transition_status, tid_word, ts_word, word_value,
 )
 from mvcert.certifier import overwriter_outcome
@@ -142,7 +142,7 @@ class TestAtomicCell:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            store = Store(10_000)
+            store = Store(10_000, TransactionTable())
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -195,7 +195,7 @@ def _head_words(store):
 
 
 def _store_with_readers():
-    store = Store(2)
+    store = Store(2, TransactionTable())
     for record in store.records:
         record.head.load().readers = 1 << 2
     return store
@@ -203,7 +203,7 @@ def _store_with_readers():
 
 def _committed_reader():
     # A committed transaction that tracked a read of both heads.
-    store = Store(2)
+    store = Store(2, TransactionTable())
     ctx = _ctx()
     for record in store.records:
         ctx.reads[record.head.load()] = None
@@ -242,7 +242,7 @@ READ_MODIFY_WRITES = {
     # The store's reader-bit and pstamp updates take the lock themselves;
     # the two batches take it once for all their versions.
     "Store.register_reader": (
-        lambda: Store(2),
+        lambda: Store(2, TransactionTable()),
         lambda s: s.register_reader(s.records[0].head.load(), 2),
         _head_words),
     "Store.clear_readers": (
@@ -467,3 +467,54 @@ def test_stamp_resolution_waits_through_spin_until(monkeypatch):
         overwriter_outcome(engine.table, version, ctx)
     with pytest.raises(RuntimeError, match="spin limit"):
         engine.cert.on_read(ctx, version, 0)
+
+
+class TestSettle:
+    """settle(peer, before) for each state a peer can be seen in.  The spin
+    limit is low, so a wait that should not happen raises at once."""
+
+    @pytest.fixture(autouse=True)
+    def short_spins(self, monkeypatch):
+        monkeypatch.setattr(kernel, "SPIN_LIMIT", 100)
+
+    @staticmethod
+    def _peer(status, cstamp=0):
+        peer = TransactionContext(65, 1, Scheme.SI)
+        peer.status, peer.cstamp = status, cstamp
+        return peer
+
+    def test_in_flight_peer_is_pending(self):
+        assert settle(self._peer(Status.INFLIGHT), 10) == PENDING
+
+    def test_committing_peer_at_or_above_the_bound_is_pending(self):
+        assert settle(self._peer(Status.COMMITTING, 10), 10) == PENDING
+        assert settle(self._peer(Status.COMMITTING, 12), 10) == PENDING
+
+    def test_committing_peer_below_the_bound_is_waited_out(self, monkeypatch):
+        peer = self._peer(Status.COMMITTING, 5)
+        with pytest.raises(RuntimeError, match="spin limit"):
+            settle(peer, 10)
+        monkeypatch.setattr(kernel, "SPIN_LIMIT", 2_000_000)
+        for verdict, expected in ((Status.COMMITTED, 5), (Status.ABORTED, 0)):
+            peer = self._peer(Status.COMMITTING, 5)
+            timer = threading.Timer(
+                0.05, lambda: setattr(peer, "status", verdict))
+            timer.start()
+            try:
+                assert settle(peer, 10) == expected
+            finally:
+                timer.join(timeout=5)
+            assert not timer.is_alive()
+
+    def test_committing_peer_without_a_stamp_is_waited_for(self):
+        with pytest.raises(RuntimeError, match="spin limit"):
+            settle(self._peer(Status.COMMITTING), 10)
+
+    def test_committed_peer(self):
+        assert settle(self._peer(Status.COMMITTED, 5), 10) == 5
+        assert settle(self._peer(Status.COMMITTED, 10), 10) == PENDING
+
+    def test_aborted_peer_settles_to_zero(self):
+        assert settle(self._peer(Status.ABORTED), 10) == 0
+        assert settle(self._peer(Status.ABORTED, 5), 10) == 0
+        assert settle(self._peer(Status.ABORTED, 12), 10) == 0
