@@ -31,7 +31,7 @@ def _group_from_spec(spec: str) -> ClientGroup:
         key, value = part.split("=", 1)
         fields[key.strip()] = value.strip()
     try:
-        return ClientGroup(
+        group = ClientGroup(
             threads=int(fields.pop("threads", 1)),
             footprint_min=int(fields.pop("fmin")),
             footprint_max=int(fields.pop("fmax")),
@@ -41,9 +41,10 @@ def _group_from_spec(spec: str) -> ClientGroup:
         )
     except KeyError as missing:
         raise UsageError("group spec needs %s" % missing) from None
-    finally:
-        if fields:
-            raise UsageError("unknown group fields %s" % sorted(fields))
+    # Only a complete parse has popped every known field.
+    if fields:
+        raise UsageError("unknown group fields %s" % sorted(fields))
+    return group
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,12 +9,13 @@ them: a transaction's status, cstamp and sstamp here, a version's stamps and
 reader bits in store.py.  Their read-modify-writes are methods of that owner
 that run under RMW_LOCK (the status compare-and-swap, the sstamp min-fold,
 the seal and the handshake's sstamp compare-and-swap for a transaction).
-Only record heads, the table pstamp, the clock, the tid sequence and the
-SSI inbound flags keep AtomicCells (plain load/store plus locked fetch-add,
-fetch-or, compare-and-swap).  The lock is not reentrant, so no
-read-modify-write may run another while it holds the lock.  Every wait for
-a peer's pre-commit verdict goes through one function, settle, which waits
-only on a peer that holds a smaller commit stamp.
+AtomicCells (plain load/store plus locked fetch-add, fetch-or,
+compare-and-swap) remain only where a word stands alone: each record, which
+is the cell holding the newest version of its chain, the table pstamp, the
+clock, the tid sequence and the SSI inbound flags.  The lock is not
+reentrant, so no read-modify-write may run another while it holds the lock.
+Every wait for a peer's pre-commit verdict goes through one function,
+settle, which waits only on a peer that holds a smaller commit stamp.
 
 Stamp words are 64-bit integers with a fixed layout:
 
@@ -225,9 +226,10 @@ class TransactionContext:
     sstamp (the read-mostly handshake); everything else is private.  The
     three shared words are plain slots whose read-modify-writes are the
     methods below, under RMW_LOCK; cstamp is only ever stored.  writes is
-    the engine's write set and reads the certifier's read set (the bare
-    scheme keeps none), both insertion-ordered dicts used as sets.  ssi
-    holds the SSI certifier's flags, whose inbound cell peers may set.
+    the engine's write set, an insertion-ordered dict from each installed
+    version to its record; reads is the certifier's read set (the bare
+    scheme keeps none), an insertion-ordered dict used as a set.  ssi holds
+    the SSI certifier's flags, whose inbound cell peers may set.
     """
 
     __slots__ = (

@@ -4,11 +4,13 @@ The Engine ties the clock, transaction table, store and certifier together
 behind the begin/read/write/commit/abort surface that workers and the replay
 drivers use.  The underlying scheme (SI or RC) decides which version a read
 returns and when a write conflicts; the Engine keeps the write set and the
-version installs.  It reports every transaction's start, each read of a
-foreign version, each fresh write and the commit to the configured
-certifier through the hooks in certifier.py, and aborts with whatever cause
-a hook returns.  Only table scans and safe snapshots ask which certifier is
-configured, because only SSN supports them.
+version installs.  The write set maps each version a transaction installed
+to its record, so rollback can unlink it.  The Engine reports every
+transaction's start, each read of a foreign version, each fresh write and
+the commit to the configured certifier through the hooks in certifier.py,
+and aborts with whatever cause a hook returns.  Only table scans and safe
+snapshots ask which certifier is configured, because only SSN supports
+them.
 
 Three certifier settings exist:
 
@@ -33,6 +35,10 @@ from .kernel import (
 )
 from .store import Store, WriteConflict
 from .trace import TraceLog
+
+
+class NotFound(LookupError):
+    """Only the initial invalid version is visible and data was required."""
 
 
 class CertifierMode(Enum):
@@ -120,8 +126,9 @@ class Engine:
         if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
         store = self.store
-        version = store.visible_version(ctx, store.records[key],
-                                        require_data=require_data)
+        version = store.visible_version(ctx, store.records[key])
+        if require_data and version.payload is None:
+            raise NotFound("record %r holds no visible data" % (key,))
         own = version.creator_tid == ctx.tid
         cstamp = 0 if own else store.creation_stamp(version)
         if self.trace:
@@ -139,9 +146,9 @@ class Engine:
             raise UsageError("snapshot queries are read-only")
         if payload is None:
             payload = ctx.tid
+        record = self.store.records[key]
         try:
-            version = self.store.install_version(
-                ctx, self.store.records[key], payload)
+            version = self.store.install_version(ctx, record, payload)
         except WriteConflict:
             self._fail(ctx, "cc_conflict")
         if self.trace:
@@ -150,7 +157,7 @@ class Engine:
                              prev.cstamp & VALUE_MASK)
         # A repeated overwrite replaced the payload in place: nothing new.
         if version not in ctx.writes:
-            ctx.writes[version] = None
+            ctx.writes[version] = record
             cause = self.cert.on_write(ctx, version)
             if cause is not None:
                 self._fail(ctx, cause)
@@ -170,12 +177,12 @@ class Engine:
         ctx.read_mostly = True
         store = self.store
         payloads = []
-        for record in store.records:
+        for key, record in enumerate(store.records):
             version = store.visible_version(ctx, record)
             own = version.creator_tid == ctx.tid
             cstamp = 0 if own else store.creation_stamp(version)
             if self.trace:
-                self.trace.read(ctx.tid, ctx.slot, record.key,
+                self.trace.read(ctx.tid, ctx.slot, key,
                                 version.creator_tid, cstamp)
             if not own:
                 cause = self.cert.on_read(ctx, version, cstamp,

@@ -4,8 +4,8 @@ Each record is a newest-first singly linked chain of versions.  A version's
 cstamp holds the creator's transaction id until the creator's post-commit
 turns it into a real timestamp, which is also the visibility switch: readers
 skip tid-tagged versions that are not their own.  Chain appends serialize on
-a single compare-and-swap of the head link, so writers never block readers
-and vice versa.
+a single compare-and-swap of the record's cell, so writers never block
+readers and vice versa.
 
 Version stamps follow a strict lifecycle.  sstamp goes +inf -> overwriter
 tid -> overwriter's successor watermark, never any other way; pstamp only
@@ -20,7 +20,15 @@ shares: the sstamp claim and its restore (VersionMeta.swap_sstamp), setting
 a reader bit (Store.register_reader), and two batches that take the lock
 once per transaction, not once per version: a committer's pstamp raise over
 its whole read set (Store.finalize_commit) and clearing its reader bits
-(Store.clear_readers).  Record heads and the table pstamp stay AtomicCells.
+(Store.clear_readers).  A record is itself the AtomicCell that holds the
+newest version of its chain; the table pstamp is the store's other cell.
+
+Nothing in the store points back up: a version links only to its
+predecessor, and a transaction's write set maps each version it installed
+to the record whose chain it heads, which is how rollback finds the cell to
+unlink.  The store therefore holds no reference cycle, and reference
+counting frees a dropped engine, or a cut chain tail, without the cyclic
+collector.
 
 The store keeps no certifier state beyond these words.  A reader bit goes up
 only when a certifier registers the read, and finalize_commit raises the
@@ -49,16 +57,11 @@ class WriteConflict(Exception):
         self.kind = kind
 
 
-class NotFound(LookupError):
-    """Only the initial invalid version is visible and data was required."""
-
-
 class VersionMeta:
-    __slots__ = ("record", "creator_tid", "cstamp", "pstamp", "sstamp", "prev",
+    __slots__ = ("creator_tid", "cstamp", "pstamp", "sstamp", "prev",
                  "readers", "payload")
 
-    def __init__(self, record, creator_tid: int, cstamp_word: int, prev, payload):
-        self.record = record
+    def __init__(self, creator_tid: int, cstamp_word: int, prev, payload):
         self.creator_tid = creator_tid
         self.cstamp = cstamp_word
         self.pstamp = 0
@@ -81,14 +84,23 @@ class VersionMeta:
             return False
 
 
-class Record:
-    __slots__ = ("key", "head")
+class Record(AtomicCell):
+    """One record: the cell that holds the newest version of its chain.
 
-    def __init__(self, key):
-        # Every record starts with a committed "invalid" version: payload None,
-        # creation stamp 0, creator 0 (nobody).
-        self.key = key
-        self.head = AtomicCell(VersionMeta(self, 0, ts_word(0), None, None))
+    Appends and unlinks are the inherited compare_and_swap.  Every record
+    starts with a committed "invalid" version: payload None, creation stamp
+    0, creator 0 (nobody).
+    """
+
+    __slots__ = ()
+
+    def __init__(self):
+        self._value = VersionMeta(0, 0, None, None)
+
+    @property
+    def head(self):
+        """The record itself, for perfbench/spans.py's record.head.load()."""
+        return self
 
 
 class Store:
@@ -104,7 +116,7 @@ class Store:
     def __init__(self, size: int, table: TransactionTable):
         if size < 1:
             raise ValueError("store needs at least one record")
-        self.records = [Record(k) for k in range(size)]
+        self.records = [Record() for _ in range(size)]
         # Largest commit stamp of a table scan: the access stamp of the
         # whole table, which table updates fold into their pstamp.
         self.table_pstamp = AtomicCell(0)
@@ -113,11 +125,8 @@ class Store:
     def __len__(self):
         return len(self.records)
 
-    def record(self, key: int) -> Record:
-        return self.records[key]
-
-    def visible_version(self, ctx: TransactionContext, record: Record, *,
-                        require_data: bool = False) -> VersionMeta:
+    def visible_version(self, ctx: TransactionContext,
+                        record: Record) -> VersionMeta:
         """Version of record that ctx is allowed to read.
 
         SI returns the newest version with a committed stamp at or below the
@@ -137,7 +146,7 @@ class Store:
         """
         snapshot = ctx.scheme is _SI or ctx.snapshot_mode
         begin_stamp = ctx.begin_stamp
-        version = record.head.load()
+        version = record._value
         while version is not None:
             word = version.cstamp
             if word & TID_TAG:
@@ -160,8 +169,6 @@ class Store:
                 break
             version = version.prev
         assert version is not None, "chain lost its initial version"
-        if require_data and version.payload is None:
-            raise NotFound("record %r holds no visible data" % (record.key,))
         return version
 
     def creation_stamp(self, version: VersionMeta) -> int:
@@ -194,7 +201,7 @@ class Store:
         (SI only) the head committed after the writer's snapshot.  A repeated
         overwrite by the same transaction replaces the payload in place.
         """
-        head = record.head.load()
+        head = record._value
         head_word = head.cstamp
         if head_word & TID_TAG:
             if head_word & VALUE_MASK == ctx.tid:
@@ -204,8 +211,8 @@ class Store:
         if ctx.scheme is _SI and head_word & VALUE_MASK > ctx.begin_stamp:
             raise WriteConflict("skew")
         claim = TID_TAG | ctx.tid
-        version = VersionMeta(record, ctx.tid, claim, head, payload)
-        if not record.head.compare_and_swap(head, version):
+        version = VersionMeta(ctx.tid, claim, head, payload)
+        if not record.compare_and_swap(head, version):
             # Another writer won the append race; treat like any other
             # write-write conflict rather than blocking.
             raise WriteConflict("uncommitted")
@@ -250,13 +257,14 @@ class Store:
     def rollback(self, ctx: TransactionContext) -> None:
         """Unlink every version an aborted transaction installed.
 
-        The predecessor's sstamp is restored before the head is unlinked so
-        a concurrent reader never sees an overwriter tid with no overwriter.
+        ctx.writes maps each installed version to its record.  The
+        predecessor's sstamp is restored before the head is unlinked so a
+        concurrent reader never sees an overwriter tid with no overwriter.
         """
-        for version in reversed(ctx.writes):
+        for version, record in reversed(ctx.writes.items()):
             restored = version.prev.swap_sstamp(TID_TAG | ctx.tid, INFINITY)
             assert restored, "aborting overwriter lost its sstamp claim"
-            unlinked = version.record.head.compare_and_swap(version, version.prev)
+            unlinked = record.compare_and_swap(version, version.prev)
             assert unlinked, "aborted head was overwritten concurrently"
 
     def dump_stamps(self):
@@ -264,7 +272,7 @@ class Store:
         dump = []
         for record in self.records:
             chain = []
-            version = record.head.load()
+            version = record._value
             while version is not None:
                 chain.append((version.creator_tid, version.cstamp,
                               version.pstamp, version.sstamp,
@@ -276,16 +284,16 @@ class Store:
 
     def check_chains(self) -> None:
         """Assert quiescent chain well-formedness (stress-test support)."""
-        for record in self.records:
-            version = record.head.load()
+        for key, record in enumerate(self.records):
+            version = record._value
             last = None
             while version is not None:
                 word = version.cstamp
                 assert not is_tid(word), \
-                    "record %r retains an uncommitted head" % (record.key,)
+                    "record %r retains an uncommitted head" % (key,)
                 stamp = word_value(word)
                 if last is not None:
                     assert stamp < last, \
-                        "record %r chain stamps not strictly increasing" % (record.key,)
+                        "record %r chain stamps not strictly increasing" % (key,)
                 last = stamp
                 version = version.prev

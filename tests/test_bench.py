@@ -1,5 +1,6 @@
 """Workload harness: determinism, accounting invariants, CLI surface."""
 
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -166,6 +167,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "group id=1" in out
 
+    @pytest.mark.parametrize("spec, message", [
+        ("threads=1,fmax=5", "error: group spec needs 'fmin'"),
+        ("threads=1,fmin=x,fmax=5",
+         "error: invalid literal for int() with base 10: 'x'"),
+        ("threads=1,fmin=3,fmax=5,fmid=4",
+         "error: unknown group fields ['fmid']"),
+    ])
+    def test_group_flag_reports_the_real_error(self, capsys, spec, message):
+        assert main(["bench", "--group", spec]) == 1
+        assert capsys.readouterr().err.strip() == message
+
 
 class TestTraceRoundTrip:
     def test_file_round_trip_preserves_events(self, tmp_path):
@@ -206,12 +218,14 @@ class TestTraceRoundTrip:
         assert caught.value.index == 1
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def test_perfbench_spans_find_every_timed_callable(monkeypatch):
     # perfbench's traced run patches each callable it times through
     # owner.__dict__[attr]; one that moved to a base class or was renamed
     # would stop `perfbench/run.py --trace 1` with a KeyError.
-    monkeypatch.syspath_prepend(
-        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     missing = ["%s.%s" % (getattr(owner, "__name__", owner), attr)
                for owner, attr, _ in spans.TIMED
@@ -220,3 +234,23 @@ def test_perfbench_spans_find_every_timed_callable(monkeypatch):
     assert all(attr in spans.AtomicCell.__dict__
                for attr in spans.RMW_METHODS)
     assert "next" in spans.GlobalClock.__dict__
+
+
+def test_perfbench_traced_unit_runs(monkeypatch, tmp_path):
+    # The span wrappers also reach into the store's layout (they walk
+    # chains from record.head); a small traced hot-8c unit must run, count
+    # what it did, and give the same counts as an untraced one.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    workload = dataclasses.replace(workloads.WORKLOADS["hot-8c"], commits=60)
+    recorder = spans.Recorder()
+    with spans.instrument(recorder):
+        traced = workloads.run_unit(workload, 1, tmp_path)
+    untraced = workloads.run_unit(workload, 1, tmp_path)
+    name_of = list(recorder.name_of)
+    assert name_of.count(recorder.name_id("store.visible_version")) > 0
+    assert recorder.count("kernel.rmw") > 0
+    assert recorder.fresh_versions > 0
+    assert traced.committed == 60 and traced.anomaly_txns == 0
+    assert traced.counts() == untraced.counts()

@@ -289,7 +289,7 @@ class TestReadMostly:
             engine.clock.next()
         reader = engine.begin(3, read_mostly=True)
         engine.read(reader, 0)
-        version = engine.store.record(0).head.load()
+        version = engine.store.records[0].load()
         assert version.readers & (1 << 3)
         engine.commit(reader)
         assert version.readers & (1 << 3)          # never cleared

@@ -17,7 +17,7 @@ from mvcert.kernel import (
 )
 from mvcert.certifier import overwriter_outcome
 from mvcert.schedulers import CertifierMode, Engine
-from mvcert.store import Record, Store, VersionMeta
+from mvcert.store import Store, VersionMeta
 from mvcert.trace import TraceLog
 
 
@@ -118,17 +118,15 @@ class TestAtomicCell:
         assert [cell.load() for cell in cells] == expected
 
     def test_versions_carry_no_per_cell_lock(self):
-        # One creator for every version, so only the versions count.  A
-        # flat version takes about 96 B; a cell per stamp word cost 264 B,
-        # a lock per cell about 650 B.
-        record = Record(0)
+        # A flat version takes about 88 B; a cell per stamp word cost
+        # 264 B, a lock per cell about 650 B.
         word = tid_word(65)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             head = None
             for _ in range(10_000):
-                head = VersionMeta(record, 65, word, head, None)
+                head = VersionMeta(65, word, head, None)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -138,7 +136,8 @@ class TestAtomicCell:
         assert retained / 10_000 <= 100
 
     def test_records_stay_small(self):
-        # A record, its head cell and its initial version: about 232 B.
+        # A record is its own head cell (48 B) around its initial version
+        # (88 B): about 136 B with the list slot.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -147,7 +146,7 @@ class TestAtomicCell:
         finally:
             tracemalloc.stop()
         assert len(store) == 10_000
-        assert retained / 10_000 <= 256
+        assert retained / 10_000 <= 160
 
 
 class _RecordingLock:
@@ -175,7 +174,7 @@ class _RecordingLock:
 
 
 def _version():
-    return VersionMeta(Record(0), 65, tid_word(65), None, None)
+    return VersionMeta(65, tid_word(65), None, None)
 
 
 def _version_words(version):
@@ -191,13 +190,13 @@ def _ctx_words(ctx):
 
 
 def _head_words(store):
-    return [_version_words(record.head.load()) for record in store.records]
+    return [_version_words(record.load()) for record in store.records]
 
 
 def _store_with_readers():
     store = Store(2, TransactionTable())
     for record in store.records:
-        record.head.load().readers = 1 << 2
+        record.load().readers = 1 << 2
     return store
 
 
@@ -206,7 +205,7 @@ def _committed_reader():
     store = Store(2, TransactionTable())
     ctx = _ctx()
     for record in store.records:
-        ctx.reads[record.head.load()] = None
+        ctx.reads[record.load()] = None
     ctx.status, ctx.cstamp, ctx.sstamp = Status.COMMITTED, 3, 3
     return store, ctx
 
@@ -243,11 +242,11 @@ READ_MODIFY_WRITES = {
     # the two batches take it once for all their versions.
     "Store.register_reader": (
         lambda: Store(2, TransactionTable()),
-        lambda s: s.register_reader(s.records[0].head.load(), 2),
+        lambda s: s.register_reader(s.records[0].load(), 2),
         _head_words),
     "Store.clear_readers": (
         _store_with_readers,
-        lambda s: s.clear_readers([r.head.load() for r in s.records], 2),
+        lambda s: s.clear_readers([r.load() for r in s.records], 2),
         _head_words),
     "Store.finalize_commit": (
         _committed_reader, lambda t: t[0].finalize_commit(t[1]),
@@ -457,9 +456,9 @@ def test_stamp_resolution_waits_through_spin_until(monkeypatch):
     monkeypatch.setattr("mvcert.kernel.SPIN_LIMIT", 100)
     engine = Engine(2, Scheme.SI, CertifierMode.SSI)
     ghost = tid_word(engine.table.allocate_tid(1))
-    version = engine.store.record(0).head.load()
+    version = engine.store.records[0].load()
     ctx = engine.begin(0)
-    orphan = VersionMeta(version.record, word_value(ghost), ghost, version, 1)
+    orphan = VersionMeta(word_value(ghost), ghost, version, 1)
     with pytest.raises(RuntimeError, match="spin limit"):
         engine.store.creation_stamp(orphan)
     version.sstamp = ghost

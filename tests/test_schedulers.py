@@ -183,7 +183,7 @@ class TestPlainSchemes:
         writer = engine.begin(0)
         engine.write(writer, 0, "x")
         engine.commit(writer)
-        version = engine.store.record(0).head.load()
+        version = engine.store.records[0].load()
         reader = engine.begin(1)
         assert engine.read(reader, 0) == "x"
         assert version.readers == 0
@@ -217,8 +217,8 @@ class TestFailureAtomicity:
         seed = engine.begin(0)
         engine.write(seed, 1, "old")
         engine.commit(seed)
-        old = engine.store.record(1).head.load()
-        read = engine.store.record(0).head.load()
+        old = engine.store.records[1].load()
+        read = engine.store.records[0].load()
         ctx = engine.begin(0)
         engine.read(ctx, 0)
         engine.write(ctx, 1, "doomed")
@@ -233,7 +233,7 @@ class TestFailureAtomicity:
         monkeypatch.undo()
 
         assert ctx.status == Status.ABORTED
-        assert engine.store.record(1).head.load() is old
+        assert engine.store.records[1].load() is old
         assert old.sstamp == INFINITY
         assert read.readers == 0
         later = engine.begin(0)                 # the slot is free again

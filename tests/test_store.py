@@ -1,10 +1,14 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from mvcert.kernel import (
     INFINITY, Scheme, Status, TransactionContext, TransactionTable,
     is_tid, transition_status, tid_word, ts_word, word_value,
 )
-from mvcert.store import NotFound, Store, WriteConflict
+from mvcert.schedulers import NotFound
+from mvcert.store import Store, VersionMeta, WriteConflict
 from mvcert import CertifierMode, ClientGroup, Engine, WorkloadConfig, run_bench
 
 
@@ -19,7 +23,7 @@ def make_ctx(table, slot=0, scheme=Scheme.SI, begin=0):
 def committed_version(store, record, ctx, stamp, payload):
     """Install and immediately finalize one version (test plumbing)."""
     version = store.install_version(ctx, record, payload)
-    ctx.writes[version] = None
+    ctx.writes[version] = record
     transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
     ctx.cstamp = stamp
     ctx.fold_sstamp(stamp)
@@ -42,25 +46,24 @@ def store(table):
 class TestInitialState:
     def test_every_record_has_an_invalid_initial_version(self, store):
         for record in store.records:
-            head = record.head.load()
+            head = record.load()
             assert head.payload is None
             assert head.creator_tid == 0
             assert head.cstamp == ts_word(0)
             assert head.prev is None
 
-    def test_initial_version_is_visible_but_not_found_when_required(
-            self, store, table):
-        ctx = make_ctx(table)
-        record = store.record(0)
-        assert store.visible_version(ctx, record).payload is None
-        with pytest.raises(NotFound):
-            store.visible_version(ctx, record, require_data=True)
+    def test_initial_version_is_visible_but_not_found_when_required(self):
+        engine = Engine(4)
+        ctx = engine.begin(0)
+        assert engine.read(ctx, 3) is None
+        with pytest.raises(NotFound, match="record 3 holds no visible data"):
+            engine.read(ctx, 3, require_data=True)
 
 
 class TestVisibility:
     def _chain(self, store, table):
         # record 0 carries committed versions with stamps 3 and 7
-        record = store.record(0)
+        record = store.records[0]
         committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "v3")
         committed_version(store, record, make_ctx(table, 1, Scheme.RC), 7, "v7")
         return record
@@ -91,11 +94,11 @@ class TestVisibility:
     def test_committed_creator_mid_postcommit_is_visible(self, store, table):
         # A creator that survived pre-commit counts as committed even while
         # its stamps are pending; readers resolve it through the table.
-        record = store.record(0)
+        record = store.records[0]
         committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "v3")
         writer = make_ctx(table, 2, Scheme.SI, begin=3)
         version = store.install_version(writer, record, "v9")
-        writer.writes[version] = None
+        writer.writes[version] = record
         transition_status(writer, Status.INFLIGHT, Status.COMMITTING)
         writer.cstamp = 9
         transition_status(writer, Status.COMMITTING, Status.COMMITTED)
@@ -110,7 +113,7 @@ class TestVisibility:
 
 class TestInstall:
     def test_si_temporal_skew_conflict(self, store, table):
-        record = store.record(0)
+        record = store.records[0]
         committed_version(store, record, make_ctx(table, 1, Scheme.RC), 7, "v7")
         writer = make_ctx(table, 0, Scheme.SI, begin=5)
         with pytest.raises(WriteConflict) as failure:
@@ -118,16 +121,16 @@ class TestInstall:
         assert failure.value.kind == "skew"
 
     def test_rc_overwrites_newer_committed_head(self, store, table):
-        record = store.record(0)
+        record = store.records[0]
         committed_version(store, record, make_ctx(table, 1, Scheme.RC), 7, "v7")
         writer = make_ctx(table, 0, Scheme.RC)
         version = store.install_version(writer, record, "v8")
         assert is_tid(version.cstamp)
         assert word_value(version.cstamp) == writer.tid
-        assert record.head.load() is version
+        assert record.load() is version
 
     def test_uncommitted_head_conflicts(self, store, table):
-        record = store.record(0)
+        record = store.records[0]
         first = make_ctx(table, 1, Scheme.RC)
         store.install_version(first, record, "w1")
         second = make_ctx(table, 2, Scheme.RC)
@@ -136,31 +139,31 @@ class TestInstall:
         assert failure.value.kind == "uncommitted"
 
     def test_install_claims_previous_sstamp(self, store, table):
-        record = store.record(0)
+        record = store.records[0]
         prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "v3")
         writer = make_ctx(table, 0, Scheme.RC)
         store.install_version(writer, record, "v4")
         assert prev.sstamp == tid_word(writer.tid)
 
     def test_repeated_own_overwrite_replaces_payload_in_place(self, store, table):
-        record = store.record(0)
+        record = store.records[0]
         writer = make_ctx(table, 0, Scheme.RC)
         first = store.install_version(writer, record, "a")
         second = store.install_version(writer, record, "b")
         assert second is first
         assert first.payload == "b"
-        assert first.prev is record.head.load().prev
+        assert first.prev is record.load().prev
 
 
 class TestReaders:
     def test_register_sets_the_slot_bit(self, store):
-        version = store.record(0).head.load()
+        version = store.records[0].load()
         store.register_reader(version, 2)
         assert version.readers == 1 << 2
 
     def test_register_is_idempotent_and_clear_removes(self, store):
-        version = store.record(0).head.load()
-        other = store.record(1).head.load()
+        version = store.records[0].load()
+        other = store.records[1].load()
         store.register_reader(version, 5)
         store.register_reader(version, 5)
         store.register_reader(other, 5)
@@ -172,7 +175,7 @@ class TestReaders:
 
 class TestFinalizeAndRollback:
     def test_commit_raises_read_pstamps(self, store, table):
-        record = store.record(0)
+        record = store.records[0]
         version = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
         version.pstamp = 4
         reader = make_ctx(table, 0, Scheme.RC)
@@ -185,7 +188,7 @@ class TestFinalizeAndRollback:
         assert version.pstamp == 9
 
     def test_commit_finalizes_overwritten_sstamp_and_new_stamps(self, store, table):
-        record = store.record(0)
+        record = store.records[0]
         prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
         version = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 9, "y")
         final = prev.sstamp
@@ -195,25 +198,25 @@ class TestFinalizeAndRollback:
         assert version.pstamp == 9
 
     def test_rollback_restores_chain_and_sstamp(self, store, table):
-        record = store.record(0)
+        record = store.records[0]
         prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
         writer = make_ctx(table, 0, Scheme.RC)
         version = store.install_version(writer, record, "doomed")
-        writer.writes[version] = None
+        writer.writes[version] = record
         transition_status(writer, Status.INFLIGHT, Status.ABORTED)
         store.rollback(writer)
-        assert record.head.load() is prev
+        assert record.load() is prev
         assert prev.sstamp == INFINITY
 
     def test_own_overwritten_reads_keep_their_stamps(self, store, table):
         # A version the transaction both read and overwrote is dropped from
         # stamp propagation: its access stamp dies with the overwrite.
-        record = store.record(0)
+        record = store.records[0]
         prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
         ctx = make_ctx(table, 0, Scheme.RC)
         ctx.reads[prev] = None
         version = store.install_version(ctx, record, "y")
-        ctx.writes[version] = None
+        ctx.writes[version] = record
         transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
         ctx.cstamp = 8
         ctx.fold_sstamp(8)
@@ -247,3 +250,43 @@ def test_store_chain_validator_detects_health():
         engine.write(ctx, round_ % 8)
         engine.commit(ctx)
     engine.store.check_chains()
+
+
+class TestReclamation:
+    """Nothing in the engine points back up a chain, so reference counting
+    alone frees it; the cyclic collector is switched off to show that."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("certifier", list(CertifierMode))
+    def test_a_dropped_engine_leaves_no_cyclic_garbage(self, certifier):
+        config = WorkloadConfig(
+            db_size=20, groups=[ClientGroup(2, 3, 6, 2)],
+            txns_per_thread=150, seed=9, certifier=certifier,
+            retry=True, emit_trace=True)
+        stats, events = run_bench(config)
+        assert stats.committed == stats.offered and events
+        del stats, events
+        assert gc.collect() == 0
+
+    def test_a_long_chain_frees_by_reference_counting(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            head = None
+            for tid in range(1, 200_001):
+                head = VersionMeta(tid, tid, head, None)
+            built = tracemalloc.get_traced_memory()[0] - before
+            del head
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert built > 200_000 * 64
+        assert left < 64 * 1024
