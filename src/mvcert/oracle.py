@@ -1,14 +1,16 @@
 """Offline serializability oracle and deterministic schedule drivers.
 
 The oracle trusts nothing but the trace.  It rebuilds the dependency graph
-of committed transactions from the logged accesses -- read and overwrite
-dependencies directly, read anti-dependencies in a post-processing join of
-readers against committed overwriters -- then finds strongly connected
-components.  Any component of two or more transactions is a serialization
-failure.  For attribution it recomputes the predecessor/successor watermarks
-per node from the graph alone and flags the members whose exclusion window
-is violated; every component is guaranteed to contain at least one, and the
-oracle raises if that ever fails to hold.
+of committed transactions from the logged accesses in one streaming pass --
+read and overwrite dependencies when a transaction's commit line arrives,
+read anti-dependencies as soon as a version has both a committed reader and
+its committed overwriter -- so it never holds the trace itself, then finds
+strongly connected components.  Any component of two or more transactions
+is a serialization failure.  For attribution it recomputes the
+predecessor/successor watermarks per node from the graph alone and flags
+the members whose exclusion window is violated; every component is
+guaranteed to contain at least one, and the oracle raises if that ever
+fails to hold.
 
 Also here: the schedule script format, the single-threaded deterministic
 replay driver, and the exhaustive interleaving enumerator used to check that
@@ -94,62 +96,109 @@ def build_graph(events) -> DependencyGraph:
 
     Version identity is (key, creator tid); the initial version of each key
     has creator 0.  Aborted and unfinished transactions contribute nothing.
+
+    One pass over any iterable of events.  Beside the graph it holds the
+    accesses of each transaction still in flight, which become edges when
+    its commit line arrives; per committed version, its committed readers
+    until a committed overwriter arrives and that overwriter after, so r:w
+    edges are added online; the tids seen; and the forward references,
+    accesses to a version whose write the pass has not met yet.
+
+    When a trace has several faults, a line that does not parse, a second
+    begin and a second committed overwriter of one version (at its commit
+    line) are raised as the pass reaches them.  A forward reference can be
+    judged only once its creator's outcome is known, so forward references
+    are resolved after the pass, and the earliest bad one is raised.
     """
-    committed = {}
-    order = {}
-    seen = set()
-    for index, event in enumerate(events):
-        if event.tid in seen and event.kind == "begin":
-            raise MalformedTrace(index, "tid %d began twice" % event.tid)
-        seen.add(event.tid)
-        if event.kind == "commit":
-            committed[event.tid] = event.cstamp
-            order[event.tid] = len(order)
-
-    creations = {}  # (key, creator) -> event position, committed writes only
-    for position, event in enumerate(events):
-        if event.kind == "write" and event.tid in committed:
-            creations.setdefault((event.key, event.tid), position)
-
     graph = DependencyGraph()
-    for tid, cstamp in committed.items():
-        graph.add_node(tid, cstamp, order[tid])
+    nodes = graph.nodes
+    seen = set()
+    inflight = {}   # tid -> its (kind, key, creator) accesses so far
+    versions = {}   # (key, creator) -> None | [committed readers] | overwriter
+    waiting = {}    # creator in flight -> committed accesses to its versions
+    forward = []    # (position, tid, kind, key, creator)
 
-    readers = {}      # (key, creator) -> committed reader tids, repeats kept
-    overwriter = {}   # (key, creator) -> committed overwriter tid
-    for position, event in enumerate(events):
-        if event.kind not in ("read", "write"):
-            continue
-        identity = (event.key, event.ver_creator)
-        if event.ver_creator != 0:
-            created_at = creations.get(identity)
-            if created_at is None:
-                if event.ver_creator in committed or event.ver_creator not in seen:
-                    raise MalformedTrace(
-                        position,
-                        "reference to version %r never created" % (identity,))
-                continue  # creator aborted; the whole access is moot
-            if created_at > position and event.ver_creator != event.tid:
-                raise MalformedTrace(
-                    position,
-                    "version %r referenced before creation" % (identity,))
-        if event.tid not in committed:
-            continue
-        if event.kind == "read":
-            readers.setdefault(identity, []).append(event.tid)
-            graph.add_edge(event.ver_creator, event.tid, EDGE_WR)
+    def settle(position, tid, kind, key, creator):
+        """Add the edges of one committed access to a committed version."""
+        identity = (key, creator)
+        state = versions.get(identity)
+        if kind == "read":
+            graph.add_edge(creator, tid, EDGE_WR)
+            if state is None:
+                versions[identity] = [tid]
+            elif type(state) is list:
+                state.append(tid)
+            else:
+                graph.add_edge(tid, state, EDGE_RW)
         else:
-            previous = overwriter.setdefault(identity, event.tid)
-            assert previous == event.tid, \
-                "two committed overwrites of one version"
-            graph.add_edge(event.ver_creator, event.tid, EDGE_WW)
+            graph.add_edge(creator, tid, EDGE_WW)
+            if type(state) is int:
+                if state != tid:
+                    raise MalformedTrace(position, "version %r overwritten "
+                                         "by both %d and %d"
+                                         % (identity, state, tid))
+                return
+            for reader in state or ():
+                graph.add_edge(reader, tid, EDGE_RW)
+            versions[identity] = tid
 
-    for identity, tids in readers.items():
-        winner = overwriter.get(identity)
-        if winner is None:
-            continue
-        for tid in tids:
-            graph.add_edge(tid, winner, EDGE_RW)
+    def admit(position, tid, accesses):
+        """Settle a committed tid's accesses, after creating its versions."""
+        for kind, key, _ in accesses:
+            if kind == "write":
+                versions.setdefault((key, tid), None)
+        for kind, key, creator in accesses:
+            if creator is None:
+                continue  # a forward reference, settled after the pass
+            if creator == 0 or (key, creator) in versions:
+                settle(position, tid, kind, key, creator)
+            elif creator in inflight:
+                waiting.setdefault(creator, []).append(
+                    (tid, (kind, key, creator)))
+            # else the creator aborted: the whole access is moot
+
+    for position, event in enumerate(events):
+        kind, tid = event.kind, event.tid
+        if kind == "begin" and tid in seen:
+            raise MalformedTrace(position, "tid %d began twice" % tid)
+        seen.add(tid)
+        if kind == "commit":
+            graph.add_node(tid, event.cstamp, len(nodes))
+            admit(position, tid, inflight.pop(tid, ()))
+            for committed, access in waiting.pop(tid, ()):
+                admit(position, committed, [access])
+        elif kind == "abort":
+            inflight.pop(tid, None)
+            waiting.pop(tid, None)
+        elif kind != "begin":
+            key, creator = event.key, event.ver_creator
+            access = (kind, key, creator)
+            if creator != 0 and (key, creator) not in versions and not any(
+                    prior[0] == "write" and prior[1] == key
+                    for prior in inflight.get(creator, ())):
+                forward.append((position, tid, kind, key, creator))
+                if kind == "read":
+                    continue
+                access = (kind, key, None)  # it still creates (key, tid)
+            if tid in nodes:
+                admit(position, tid, [access])
+            else:
+                inflight.setdefault(tid, []).append(access)
+
+    for position, tid, kind, key, creator in forward:
+        identity = (key, creator)
+        if creator in nodes:
+            if identity not in versions:
+                raise MalformedTrace(position, "reference to version %r "
+                                     "never created" % (identity,))
+            if creator != tid:
+                raise MalformedTrace(position, "version %r referenced "
+                                     "before creation" % (identity,))
+            settle(position, tid, kind, key, creator)
+        elif creator not in seen:
+            raise MalformedTrace(position, "reference to version %r "
+                                 "never created" % (identity,))
+        # else the creator never committed: the whole access is moot
     return graph
 
 
@@ -259,6 +308,10 @@ class ViolationReport:
 def find_violations(graph: DependencyGraph) -> ViolationReport:
     """SCCs of size >= 2 plus the members failing the recomputed window test.
 
+    Members are listed in commit order, and SCCs by the commit order of
+    their earliest members, so the report does not depend on the order in
+    which the graph's edges were added.
+
     A member is flagged when its recomputed successor watermark does not
     clear its predecessor watermark.  Watermark equal to the own commit
     stamp means no back edge at all, which cannot violate anything; the
@@ -267,10 +320,11 @@ def find_violations(graph: DependencyGraph) -> ViolationReport:
     """
     recompute_watermarks(graph)
     report = ViolationReport(graph=graph)
-    for component in strongly_connected_components(graph):
-        if len(component) < 2:
-            continue
-        members = sorted(component, key=graph.commit_order_key)
+    components = [sorted(component, key=graph.commit_order_key)
+                  for component in strongly_connected_components(graph)
+                  if len(component) > 1]
+    components.sort(key=lambda members: graph.commit_order_key(members[0]))
+    for members in components:
         flagged = [tid for tid in members
                    if graph.nodes[tid].sstamp <= graph.nodes[tid].pstamp
                    and graph.nodes[tid].sstamp < graph.nodes[tid].cstamp]

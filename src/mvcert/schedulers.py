@@ -29,7 +29,7 @@ from enum import Enum
 
 from .certifier import Certifier, ExclusionCertifier, SsiCertifier
 from .kernel import (
-    ABORTED, COMMITTED, COMMITTING, INFLIGHT, VALUE_MASK, GlobalClock, Scheme,
+    ABORTED, COMMITTED, COMMITTING, INFLIGHT, GlobalClock, Scheme,
     TableMode, TransactionAborted, TransactionContext, TransactionTable,
     UsageError, transition_status,
 )
@@ -153,8 +153,9 @@ class Engine:
             self._fail(ctx, "cc_conflict")
         if self.trace:
             prev = version.prev
+            # prev is committed, so its word is untagged: the stamp itself.
             self.trace.write(ctx.tid, ctx.slot, key, prev.creator_tid,
-                             prev.cstamp & VALUE_MASK)
+                             prev.cstamp)
         # A repeated overwrite replaced the payload in place: nothing new.
         if version not in ctx.writes:
             ctx.writes[version] = record

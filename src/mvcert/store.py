@@ -181,7 +181,7 @@ class Store:
         """
         word = version.cstamp
         if not word & TID_TAG:
-            return word & VALUE_MASK
+            return word  # an untagged word is the stamp itself
         creator = self.table.get(word & VALUE_MASK)
         if creator is not None and creator.status == COMMITTED:
             stamp = creator.cstamp

@@ -19,12 +19,17 @@ per-thread buffers; a global sequence number taken at emit time lets the
 merge preserve real-time order, so any referenced version was created by an
 earlier line.  The sequence is an itertools.count: under the GIL, next() on
 it is a single C call, so concurrent emitters never draw the same number.
+
+Files stream both ways: write_trace renders one line at a time, and
+parse_trace and read_trace yield one event at a time, so neither the trace
+text nor a list of parsed events is ever held; the oracle's graph builder
+consumes the events as they come.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .kernel import MAX_WORKERS
 
@@ -116,8 +121,10 @@ def render_trace(events) -> str:
 
 
 def write_trace(events, path) -> None:
+    """Write the trace line by line; no rendered copy of it is held."""
     with open(path, "w") as handle:
-        handle.write(render_trace(events))
+        for event in events:
+            handle.write(render_event(event) + "\n")
 
 
 _REASONS = {reason: reason for reason in ABORT_REASONS}
@@ -131,15 +138,15 @@ class _Numbers(dict):
         return value
 
 
-def parse_trace(lines) -> list[TraceEvent]:
-    """Parse trace text lines; raises MalformedTrace with the line index.
+def parse_trace(lines) -> Iterator[TraceEvent]:
+    """Yield the events of trace text lines, one at a time.
 
-    Events are built like TraceLog's, with tuple.__new__ on all nine fields.
-    Their kind and abort reason are this module's constant strings, and
-    every distinct number is one int object shared by all the lines that
-    carry it, so a parsed trace holds little beyond its tuples.
+    Raises MalformedTrace with the line index when iteration reaches a line
+    that does not parse.  Events are built like TraceLog's, with
+    tuple.__new__ on all nine fields.  Their kind and abort reason are this
+    module's constant strings, and every distinct number is one int object
+    shared by all the lines that carry it.
     """
-    events = []
     number = _Numbers().__getitem__
     for index, raw in enumerate(lines):
         line = raw.strip()
@@ -177,10 +184,10 @@ def parse_trace(lines) -> list[TraceEvent]:
             raise
         except ValueError:
             raise MalformedTrace(index, "non-numeric field in %r" % line) from None
-        events.append(event)
-    return events
+        yield event
 
 
-def read_trace(path) -> list[TraceEvent]:
+def read_trace(path) -> Iterator[TraceEvent]:
+    """Yield the events of a trace file; the file opens on the first next()."""
     with open(path) as handle:
-        return parse_trace(handle)
+        yield from parse_trace(handle)

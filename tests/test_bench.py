@@ -183,16 +183,16 @@ class TestTraceRoundTrip:
     def test_file_round_trip_preserves_events(self, tmp_path):
         _, events = run_bench(config(txns_per_thread=30))
         text = render_trace(events)
-        parsed = parse_trace(text.splitlines())
+        parsed = list(parse_trace(text.splitlines()))
         assert len(parsed) == len(events)
         assert render_trace(parsed) == text
 
     def test_parsed_events_carry_every_field_and_share_numbers(self):
-        parsed = parse_trace(["begin 70001 1", "read 70001 1 3 0 0",
-                              "# a comment keeps its line index", "",
-                              "commit 70001 1 90001", "begin 70002 2",
-                              "write 70002 2 3 70001 90001",
-                              "abort 70002 2 user"])
+        parsed = list(parse_trace([
+            "begin 70001 1", "read 70001 1 3 0 0",
+            "# a comment keeps its line index", "",
+            "commit 70001 1 90001", "begin 70002 2",
+            "write 70002 2 3 70001 90001", "abort 70002 2 user"]))
         assert parsed == [
             TraceEvent(0, "begin", 70001, 1),
             TraceEvent(1, "read", 70001, 1, 3, 0, 0),
@@ -213,7 +213,7 @@ class TestTraceRoundTrip:
     ])
     def test_malformed_lines_name_their_index(self, line, message):
         with pytest.raises(MalformedTrace) as caught:
-            parse_trace(["begin 1 0", line])
+            list(parse_trace(["begin 1 0", line]))
         assert str(caught.value).startswith(message)
         assert caught.value.index == 1
 

@@ -1,14 +1,18 @@
 """Offline checker: graph building, cycle detection, attribution, replay,
 and exhaustive interleaving enumeration."""
 
+import dataclasses
+import hashlib
+import importlib
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from mvcert import (
-    CertifierMode, ClientGroup, Scheme, UsageError, WorkloadConfig,
-    build_graph, check_trace, enumerate_interleavings, find_violations,
-    parse_script, replay_scripted, run_bench,
+    CertifierMode, ClientGroup, Engine, Scheme, TraceLog, UsageError,
+    WorkloadConfig, build_graph, check_trace, enumerate_interleavings,
+    find_violations, parse_script, replay_scripted, run_bench,
 )
 from mvcert.cli import main
 from mvcert.oracle import (
@@ -104,6 +108,102 @@ class TestBuildGraph:
         """)
         with pytest.raises(MalformedTrace, match="twice"):
             build_graph(events)
+
+    def test_two_committed_overwrites_of_one_version_are_diagnosed(self):
+        events = trace("""
+            begin 64 0
+            write 64 0 0 0 0
+            commit 64 0 5
+            begin 129 1
+            write 129 1 0 0 0
+            commit 129 1 7
+        """)
+        with pytest.raises(MalformedTrace, match="both 64 and 129") as caught:
+            build_graph(events)
+        assert caught.value.index == 5
+
+    def test_read_before_its_creators_write_is_diagnosed(self):
+        # The creator is already in flight, but has not written key 0 yet.
+        events = trace("""
+            begin 64 0
+            begin 129 1
+            read 129 1 0 64 5
+            write 64 0 0 0 0
+            commit 64 0 5
+            commit 129 1 7
+        """)
+        with pytest.raises(MalformedTrace, match="before creation") as caught:
+            build_graph(events)
+        assert caught.value.index == 2
+
+    def test_a_read_may_commit_before_its_creators_commit_line(self):
+        # A creator is visible once COMMITTED, a moment before its commit
+        # line is traced, so its reader can commit first.
+        graph = build_graph(trace("""
+            begin 64 0
+            write 64 0 0 0 0
+            begin 129 1
+            read 129 1 0 64 5
+            commit 129 1 7
+            commit 64 0 5
+            begin 194 2
+            write 194 2 0 64 5
+            commit 194 2 9
+        """))
+        assert graph.edges == {(64, 129, EDGE_WR), (64, 194, EDGE_WW),
+                               (129, 194, EDGE_RW)}
+
+    @pytest.mark.parametrize("text", [
+        # the creator aborted before the read
+        """
+        begin 64 0
+        write 64 0 0 0 0
+        abort 64 0 user
+        begin 129 1
+        read 129 1 0 64 5
+        commit 129 1 7
+        """,
+        # the reader committed while the creator was still in flight
+        """
+        begin 64 0
+        write 64 0 0 0 0
+        begin 129 1
+        read 129 1 0 64 5
+        commit 129 1 7
+        abort 64 0 user
+        """,
+    ], ids=["aborted-first", "aborted-later"])
+    def test_reference_to_an_aborted_creators_version_is_moot(self, text):
+        graph = build_graph(trace(text))
+        assert set(graph.nodes) == {129}
+        assert graph.edges == set()
+
+    def test_a_line_fault_wins_over_an_earlier_bad_reference(self):
+        """Which of two faults is raised.
+
+        A fault a line shows by itself (it does not parse, or it begins a
+        tid a second time) is raised when the pass reaches that line.  A
+        bad version reference is judged after the pass, once every
+        creator's outcome is known.  So the second begin on event 3 wins
+        over the reference on event 1 to a version never created, and of
+        two bad references the earlier one wins.
+        """
+        with pytest.raises(MalformedTrace, match="twice") as caught:
+            build_graph(trace("""
+                begin 129 1
+                read 129 1 0 64 5
+                commit 129 1 7
+                begin 129 1
+            """))
+        assert caught.value.index == 3
+        with pytest.raises(MalformedTrace, match="never created") as caught:
+            build_graph(trace("""
+                begin 129 1
+                read 129 1 0 64 5
+                read 129 1 1 65 5
+                commit 129 1 7
+            """))
+        assert caught.value.index == 1
 
 
 class TestFindViolations:
@@ -245,33 +345,21 @@ commit 5 4 13
 """
 
 
-def report_blocks(text):
-    """The header line and the set of SCC blocks of a check report."""
-    header, *lines = text.splitlines(keepends=True)
-    blocks = []
-    for line in lines:
-        if line.startswith("scc "):
-            blocks.append("")
-        blocks[-1] += line
-    return header, set(blocks)
-
-
 class TestCheckReport:
     def test_golden_check_output(self, tmp_path, capsys):
+        # SCCs come by the commit order of their earliest members.
         path = tmp_path / "two-sccs.trace"
         path.write_text(TWO_SCCS.lstrip())
         assert main(["check", str(path)]) == 2
-        header, blocks = report_blocks(capsys.readouterr().out)
-        assert header == "serializable=no sccs=2\n"
-        assert blocks == {
+        assert capsys.readouterr().out == (
+            "serializable=no sccs=2\n"
             "scc size=2 members=1,2 flagged=2\n"
             "edge 1 w:r 2\n"
             "edge 1 w:w 2\n"
-            "edge 2 r:w 1\n",
+            "edge 2 r:w 1\n"
             "scc size=2 members=3,4 flagged=4\n"
             "edge 3 r:w 4\n"
-            "edge 4 r:w 3\n",
-        }
+            "edge 4 r:w 3\n")
 
     def test_check_runs_through_check_trace(self, tmp_path, monkeypatch,
                                             capsys):
@@ -280,6 +368,7 @@ class TestCheckReport:
         calls = []
 
         def spy(events):
+            events = list(events)
             calls.append(len(events))
             return check_trace(events)
 
@@ -289,6 +378,23 @@ class TestCheckReport:
         assert main(["check", str(path)]) == 2
         assert calls == [20]
         assert capsys.readouterr().out.startswith("serializable=no sccs=2\n")
+
+    def test_a_parse_error_met_while_building_exits_1(self, tmp_path, capsys):
+        # The graph is built as the file is parsed, so the bad last line is
+        # met after the first twenty events are in the graph.
+        path = tmp_path / "bad-tail.trace"
+        path.write_text(TWO_SCCS.lstrip() + "frob 6 5\n")
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: event 20: unparseable line 'frob 6 5'\n"
+
+    def test_a_missing_trace_file_exits_1(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "absent.trace")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "absent.trace" in captured.err
 
     def test_pair_joined_by_two_kinds(self):
         graph = build_graph(trace(TWO_SCCS))
@@ -303,10 +409,10 @@ class TestCheckReport:
 
 class TestOracleMemory:
     def test_parsed_trace_and_graph_stay_small(self):
-        # Nine-field tuples sharing their kind strings and numbers, and one
-        # kind bitmask per dependent pair, take about 234 B per event here;
-        # keyword-built events with their own ints and every edge held in
-        # a triple set as well took about 557 B.
+        # Checking in one streaming pass holds the graph and the builder's
+        # own state, never the parsed event list: the peak is about 118 B
+        # per trace line here.  Parsing into a list and building the graph
+        # in three passes over it peaked at about 333 B.
         config = WorkloadConfig(
             db_size=100, groups=[ClientGroup(1, 8, 12, 3)],
             txns_per_thread=2000, seed=7, emit_trace=True)
@@ -315,13 +421,53 @@ class TestOracleMemory:
         del events
         tracemalloc.start()
         try:
-            parsed = parse_trace(lines)
-            graph = build_graph(parsed)
-            retained = tracemalloc.get_traced_memory()[0]
+            report = check_trace(parse_trace(lines))
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(graph.nodes) == 2000
-        assert retained / len(parsed) <= 320
+        assert len(report.graph.nodes) == 2000
+        assert peak / len(lines) <= 200
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def graph_digest(graph):
+    """One hash over the nodes with their stamps and commit order, every
+    (src, dst, kind mask), and the sorted SCC and flagged lists."""
+    report = find_violations(graph)
+    nodes = sorted((tid, node.cstamp, node.order)
+                   for tid, node in graph.nodes.items())
+    edges = sorted((src, dst, mask) for src, out in graph.successors.items()
+                   for dst, mask in out.items())
+    summary = (nodes, edges, sorted(map(sorted, report.sccs)),
+               sorted(map(sorted, report.flagged)))
+    return hashlib.sha256(repr(summary).encode()).hexdigest()[:16]
+
+
+class TestGoldenGraphs:
+    """The graph of observe-mode hot-8c traces, 300 commits each, which
+    hold 20 or 21 SCCs.  The digests were recorded from the three-pass
+    builder that parsed the whole trace into a list first."""
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "2352db574a1c5e20"),
+        (2, "729f294a5a7f7e3c"),
+        (3, "4000fd1ac773f1ec"),
+    ])
+    def test_graph_matches_the_recorded_digest(self, monkeypatch, seed,
+                                               digest):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        workload = dataclasses.replace(workloads.WORKLOADS["hot-8c"],
+                                       commits=300)
+        engine = Engine(workload.db_size, SI, SSN, observe=True,
+                        trace=TraceLog())
+        workloads.drive(engine, workload, seed, workloads.Unit())
+        events = engine.trace.merged()
+        assert graph_digest(build_graph(events)) == digest
+        lines = render_trace(events).splitlines()
+        assert graph_digest(build_graph(parse_trace(lines))) == digest
 
 
 class TestWatermarkRecomputation:
