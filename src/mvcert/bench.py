@@ -291,5 +291,5 @@ def run_bench(config: WorkloadConfig):
     for slot, gi, stats in per_thread:
         group_stats[gi].merge(stats)
     run = RunStats(config, group_stats, wall)
-    events = trace.merged() if trace else None
+    events = trace.merged() if trace is not None else None
     return run, events

@@ -451,7 +451,8 @@ def replay_scripted(steps, scheme: Scheme = Scheme.SI,
         engine.abort(ctx)
         outcomes[label] = ("aborted", "user")
         observed[label] = ctx.observed_violation
-    return ReplayResult(outcomes, tids, trace.merged(), engine, observed)
+    return ReplayResult(outcomes, tids, list(trace.merged()), engine,
+                        observed)
 
 
 # ---------------- exhaustive interleaving enumeration ----------------

@@ -34,7 +34,7 @@ from .kernel import (
     UsageError, transition_status,
 )
 from .store import Store, WriteConflict
-from .trace import TraceLog
+from .trace import ABORT_REASONS, TraceLog
 
 
 class NotFound(LookupError):
@@ -88,13 +88,15 @@ class Engine:
             begin_stamp=0 if self.scheme is Scheme.RC else start)
         self.cert.begin(ctx)
         self.table.publish(slot, ctx)
-        if self.trace:
+        if self.trace is not None:
             self.trace.begin(tid, slot)
         return ctx
 
     def abort(self, ctx: TransactionContext, reason: str = "user") -> None:
         """User-requested abort; conflict paths raise instead."""
         self._require_inflight(ctx)
+        if reason not in ABORT_REASONS:
+            raise UsageError("unknown abort reason %r" % (reason,))
         self._abort_cleanup(ctx, reason, INFLIGHT)
 
     def _abort_cleanup(self, ctx, reason, from_status) -> None:
@@ -102,7 +104,7 @@ class Engine:
         transition_status(ctx, from_status, ABORTED)
         self.store.rollback(ctx)
         self._clear_reader_bits(ctx)
-        if self.trace and reason is not None:
+        if self.trace is not None and reason is not None:
             self.trace.abort(ctx.tid, ctx.slot, reason)
         self.table.clear(ctx.slot)
 
@@ -131,7 +133,7 @@ class Engine:
             raise NotFound("record %r holds no visible data" % (key,))
         own = version.creator_tid == ctx.tid
         cstamp = 0 if own else store.creation_stamp(version)
-        if self.trace:
+        if self.trace is not None:
             self.trace.read(ctx.tid, ctx.slot, key, version.creator_tid, cstamp)
         if not own:
             cause = self.cert.on_read(ctx, version, cstamp)
@@ -151,7 +153,7 @@ class Engine:
             version = self.store.install_version(ctx, record, payload)
         except WriteConflict:
             self._fail(ctx, "cc_conflict")
-        if self.trace:
+        if self.trace is not None:
             prev = version.prev
             # prev is committed, so its word is untagged: the stamp itself.
             self.trace.write(ctx.tid, ctx.slot, key, prev.creator_tid,
@@ -182,7 +184,7 @@ class Engine:
             version = store.visible_version(ctx, record)
             own = version.creator_tid == ctx.tid
             cstamp = 0 if own else store.creation_stamp(version)
-            if self.trace:
+            if self.trace is not None:
                 self.trace.read(ctx.tid, ctx.slot, key,
                                 version.creator_tid, cstamp)
             if not own:
@@ -237,7 +239,7 @@ class Engine:
                 self._abort_cleanup(ctx, None, COMMITTING)
             raise
         cstamp = ctx.cstamp
-        if self.trace:
+        if self.trace is not None:
             self.trace.commit(ctx.tid, ctx.slot, cstamp)
         self.store.finalize_commit(ctx)
         self.cert.post_commit(ctx)

@@ -14,11 +14,18 @@ File format is line-delimited text with a fixed field order:
     abort <tid> <thread> <reason>
 
 For writes the version columns describe the overwritten version; the new
-version's identity is (key, tid) implicitly.  Multi-threaded runs log into
-per-thread buffers; a global sequence number taken at emit time lets the
-merge preserve real-time order, so any referenced version was created by an
-earlier line.  The sequence is an itertools.count: under the GIL, next() on
-it is a single C call, so concurrent emitters never draw the same number.
+version's identity is (key, tid) implicitly.  Every thread logs into one
+shared array('q') of five words per event:
+
+    (thread << 3 | kind code, tid, key or abort reason index, creator, stamp)
+
+Each emit packs its row into 40 bytes and appends them with one
+array.frombytes call.  That call runs no bytecode, so under the GIL no
+other thread can run between the first and the last word of a row: rows
+never interleave, and array order is real-time emit order, so any
+referenced version was created by an earlier line.  The thread is packed
+into the kind word rather than taken from the tid's low bits, so
+hand-built logs may use any tids.
 
 Files stream both ways: write_trace renders one line at a time, and
 parse_trace and read_trace yield one event at a time, so neither the trace
@@ -28,10 +35,8 @@ consumes the events as they come.
 
 from __future__ import annotations
 
-import itertools
+import struct
 from typing import Iterator, NamedTuple
-
-from .kernel import MAX_WORKERS
 
 ABORT_REASONS = ("cc_conflict", "ssn_exclusion", "ssi_dangerous",
                  "safe_snapshot", "user")
@@ -58,46 +63,88 @@ class MalformedTrace(ValueError):
         self.index = index
 
 
-class TraceLog:
-    """Per-thread append-only buffers with a shared emit sequence.
+# Kind codes of the log's first word; the thread sits above its low 3 bits.
+_KINDS = ("begin", "read", "write", "commit", "abort")
+_BEGIN, _READ, _WRITE, _COMMIT, _ABORT = range(len(_KINDS))
+_pack = struct.Struct("5q").pack   # one row, in array("q")'s byte layout
+_REASON_INDEX = {reason: index for index, reason in enumerate(ABORT_REASONS)}
 
-    Each emit builds its TraceEvent with tuple.__new__ on all nine fields,
-    which skips the named tuple's generated constructor and its defaults.
+
+class TraceLog:
+    """One shared array of five int64 words per emitted event.
+
+    The abort reason is stored as its index into ABORT_REASONS; unused
+    fields are 0.  A field that is no int64 makes the emit raise before
+    anything is appended, so a row is always whole.
     """
 
     def __init__(self):
-        self._buffers = [[] for _ in range(MAX_WORKERS)]
-        self._seq = itertools.count()
+        # Imported here, so untraced runs never load the array module,
+        # which adds about 0.3 MB to their peak RSS.
+        from array import array
+        self._words = array("q")
+        self._append = self._words.frombytes
 
     def begin(self, tid, thread):
-        self._buffers[thread].append(_new(TraceEvent, (
-            next(self._seq), "begin", tid, thread,
-            None, None, None, None, None)))
+        self._append(_pack(thread << 3, tid, 0, 0, 0))
 
     def read(self, tid, thread, key, ver_creator, ver_cstamp):
-        self._buffers[thread].append(_new(TraceEvent, (
-            next(self._seq), "read", tid, thread,
-            key, ver_creator, ver_cstamp, None, None)))
+        self._append(_pack(thread << 3 | _READ, tid, key, ver_creator,
+                           ver_cstamp))
 
     def write(self, tid, thread, key, prev_creator, prev_cstamp):
-        self._buffers[thread].append(_new(TraceEvent, (
-            next(self._seq), "write", tid, thread,
-            key, prev_creator, prev_cstamp, None, None)))
+        self._append(_pack(thread << 3 | _WRITE, tid, key, prev_creator,
+                           prev_cstamp))
 
     def commit(self, tid, thread, cstamp):
-        self._buffers[thread].append(_new(TraceEvent, (
-            next(self._seq), "commit", tid, thread,
-            None, None, None, cstamp, None)))
+        self._append(_pack(thread << 3 | _COMMIT, tid, 0, 0, cstamp))
 
     def abort(self, tid, thread, reason):
-        self._buffers[thread].append(_new(TraceEvent, (
-            next(self._seq), "abort", tid, thread,
-            None, None, None, None, reason)))
+        self._append(_pack(thread << 3 | _ABORT, tid, _REASON_INDEX[reason],
+                           0, 0))
 
-    def merged(self) -> list[TraceEvent]:
-        events = [event for buffer in self._buffers for event in buffer]
-        events.sort(key=lambda event: event.seq)
-        return events
+    def merged(self) -> TraceView:
+        """A read-only view of the events emitted so far, in emit order."""
+        return TraceView(self._words)
+
+
+class TraceView:
+    """The first len(self) events of a TraceLog, as TraceEvents on demand.
+
+    Iteration decodes one row at a time, so no list of events is held; an
+    event's seq is its row index.  Events are built like parse_trace's,
+    with tuple.__new__ on all nine fields and this module's constant
+    strings for the kind and the abort reason.
+    """
+
+    def __init__(self, words):
+        self._words = words
+        self._count = len(words) // 5
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        words = iter(self._words)
+        for seq, head, tid, field, creator, stamp in zip(
+                range(self._count), words, words, words, words, words):
+            code, thread = head & 7, head >> 3
+            if code == _READ or code == _WRITE:
+                yield _new(TraceEvent, (
+                    seq, _KINDS[code], tid, thread,
+                    field, creator, stamp, None, None))
+            elif code == _BEGIN:
+                yield _new(TraceEvent, (
+                    seq, "begin", tid, thread,
+                    None, None, None, None, None))
+            elif code == _COMMIT:
+                yield _new(TraceEvent, (
+                    seq, "commit", tid, thread,
+                    None, None, None, stamp, None))
+            else:
+                yield _new(TraceEvent, (
+                    seq, "abort", tid, thread,
+                    None, None, None, None, ABORT_REASONS[field]))
 
 
 def render_event(event: TraceEvent) -> str:
@@ -142,7 +189,7 @@ def parse_trace(lines) -> Iterator[TraceEvent]:
     """Yield the events of trace text lines, one at a time.
 
     Raises MalformedTrace with the line index when iteration reaches a line
-    that does not parse.  Events are built like TraceLog's, with
+    that does not parse.  Events are built like TraceView's, with
     tuple.__new__ on all nine fields.  Their kind and abort reason are this
     module's constant strings, and every distinct number is one int object
     shared by all the lines that carry it.

@@ -2,15 +2,20 @@
 
 import dataclasses
 import importlib
+import struct
 from pathlib import Path
 
 import pytest
 
 from mvcert import (
-    CertifierMode, ClientGroup, Scheme, WorkloadConfig, check_trace, run_bench,
+    CertifierMode, ClientGroup, Scheme, TraceLog, WorkloadConfig, check_trace,
+    parse_script, replay_scripted, run_bench, write_trace,
 )
 from mvcert.cli import main
-from mvcert.trace import MalformedTrace, TraceEvent, parse_trace, render_trace
+from mvcert.kernel import VALUE_MASK
+from mvcert.trace import (
+    ABORT_REASONS, MalformedTrace, TraceEvent, parse_trace, render_trace,
+)
 
 
 def config(**overrides):
@@ -119,8 +124,6 @@ class TestCli:
         assert "sccs=0" in capsys.readouterr().out
 
     def test_check_flags_write_skew_with_exit_2(self, tmp_path, capsys):
-        from mvcert import replay_scripted
-        from mvcert.trace import write_trace
         result = replay_scripted(
             "T1 read X\nT2 read Y\nT1 write Y\nT2 write X\n"
             "T1 commit\nT2 commit\n", Scheme.SI, CertifierMode.NONE)
@@ -140,6 +143,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "T3 aborted reason=ssn_exclusion" in out
         assert "T1 committed" in out
+
+    def test_replay_emit_trace_writes_the_replayed_trace(self, tmp_path,
+                                                         capsys):
+        text = ("T1 read B\nT3 read A\nT2 write B\nT2 commit\n"
+                "T3 read B\nT1 write A\nT1 commit\nT3 commit\n")
+        script = tmp_path / "fig.script"
+        script.write_text(text)
+        emitted = tmp_path / "replay.trace"
+        assert main(["replay", str(script), "--scheme", "rc",
+                     "--emit-trace", str(emitted)]) == 0
+        assert "T3 aborted reason=ssn_exclusion" in capsys.readouterr().out
+        expected = tmp_path / "expected.trace"
+        write_trace(replay_scripted(parse_script(text), Scheme.RC).trace,
+                    expected)
+        assert emitted.read_text() == expected.read_text()
+        assert "abort " in emitted.read_text()
+        assert main(["check", str(emitted)]) == 0
 
     def test_enumerate_subcommand(self, tmp_path, capsys):
         a = tmp_path / "a.script"
@@ -203,6 +223,47 @@ class TestTraceRoundTrip:
         ]
         assert parsed[0].tid is parsed[4].ver_creator
         assert parsed[2].cstamp is parsed[4].ver_cstamp
+
+    def test_log_view_yields_the_events_emitted(self):
+        # Every kind, every abort reason, threads 0 and 63, and values at
+        # the top of the stamp range come back as the TraceEvents a list of
+        # nine-field tuples held, and survive a render and parse.
+        top = VALUE_MASK
+        emits = [
+            ("begin", (top, 0), {}),
+            ("begin", (1, 63), {}),
+            ("read", (top, 0, 7, top - 1, top - 2),
+             dict(key=7, ver_creator=top - 1, ver_cstamp=top - 2)),
+            ("read", (1, 63, 0, 0, 0), dict(key=0, ver_creator=0,
+                                            ver_cstamp=0)),
+            ("write", (top, 0, top, 0, 0), dict(key=top, ver_creator=0,
+                                                ver_cstamp=0)),
+            ("write", (1, 63, 3, top, top), dict(key=3, ver_creator=top,
+                                                 ver_cstamp=top)),
+            ("commit", (top, 0, top), dict(cstamp=top)),
+            ("commit", (1, 63, 5), dict(cstamp=5)),
+            *(("abort", (top - index, 63 * (index % 2), reason),
+               dict(reason=reason))
+              for index, reason in enumerate(ABORT_REASONS)),
+        ]
+        log = TraceLog()
+        expected = []
+        for seq, (kind, args, fields) in enumerate(emits):
+            getattr(log, kind)(*args)
+            expected.append(TraceEvent(seq, kind, *args[:2], **fields))
+        view = log.merged()
+        assert len(view) == len(expected)
+        assert list(view) == expected
+        assert list(parse_trace(render_trace(view).splitlines())) == expected
+        # The view is the log as it stood; later emits do not show in it.
+        log.begin(2, 1)
+        assert len(view) == len(expected)
+        assert list(view) == expected
+        # A field outside int64 raises before any word of the row lands.
+        with pytest.raises(struct.error):
+            log.read(3, 1, 1 << 63, 0, 0)
+        assert list(log.merged())[-1] == TraceEvent(len(expected), "begin",
+                                                    2, 1)
 
     @pytest.mark.parametrize("line, message", [
         ("begin 1", "event 1: unparseable line 'begin 1'"),

@@ -330,12 +330,26 @@ class TestGlobalClock:
             assert bucket == sorted(bucket)
 
 
-def test_concurrent_trace_emitters_draw_distinct_sequence_numbers():
+def test_concurrent_trace_emitters_log_in_real_time_order():
+    """The shared log keeps rows whole and in the order they were emitted.
+
+    Each thread's rows keep its own emit order, and a row emitted after an
+    Event that another thread set once its own row was in comes after that
+    row.  The tids' low bits are not the thread: the log must not derive
+    the thread from them.
+    """
     trace = TraceLog()
+    emits, middle = 20_000, 10_000
+    handed_over = threading.Event()
+    waited = []
 
     def emit(thread):
-        for tid in range(20_000):
-            trace.begin(tid, thread)
+        for count in range(emits):
+            if thread == 1 and count == middle:
+                waited.append(handed_over.wait(timeout=60))
+            trace.begin(thread << 20 | count, thread)
+            if thread == 0 and count == middle:
+                handed_over.set()
 
     threads = [threading.Thread(target=emit, args=(thread,))
                for thread in range(4)]
@@ -349,7 +363,15 @@ def test_concurrent_trace_emitters_draw_distinct_sequence_numbers():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert [event.seq for event in trace.merged()] == list(range(80_000))
+    assert waited == [True]
+    events = list(trace.merged())
+    assert len(events) == 4 * emits
+    assert [event.seq for event in events] == list(range(4 * emits))
+    for thread in range(4):
+        assert [event.tid for event in events if event.thread == thread] == [
+            thread << 20 | count for count in range(emits)]
+    row = {event.tid: event.seq for event in events}
+    assert row[0 << 20 | middle] < row[1 << 20 | middle]
 
 
 class TestStatusMachine:

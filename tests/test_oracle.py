@@ -101,6 +101,38 @@ class TestBuildGraph:
         with pytest.raises(MalformedTrace, match="before creation"):
             build_graph(events)
 
+    @pytest.mark.parametrize("text, message", [
+        # the creator committed, but never wrote the key
+        ("""
+         begin 129 1
+         read 129 1 0 64 5
+         commit 129 1 7
+         begin 64 0
+         write 64 0 1 0 0
+         commit 64 0 5
+         """, "event 1: reference to version (0, 64) never created"),
+        # the creator never appears at all
+        ("""
+         begin 129 1
+         write 129 1 0 64 5
+         commit 129 1 7
+         """, "event 1: reference to version (0, 64) never created"),
+        # the creator wrote the key, but only after the reference
+        ("""
+         begin 129 1
+         read 129 1 0 64 5
+         commit 129 1 7
+         begin 64 0
+         write 64 0 0 0 0
+         commit 64 0 5
+         """, "event 1: version (0, 64) referenced before creation"),
+    ], ids=["committed-creator", "unseen-creator", "later-creator"])
+    def test_forward_reference_messages(self, text, message):
+        with pytest.raises(MalformedTrace) as caught:
+            build_graph(trace(text))
+        assert str(caught.value) == message
+        assert caught.value.index == 1
+
     def test_double_begin_is_diagnosed(self):
         events = trace("""
             begin 64 0

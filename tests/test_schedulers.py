@@ -208,6 +208,17 @@ class TestPlainSchemes:
         events = engine.trace.merged()
         assert [e.kind for e in events if e.tid == ctx.tid][-1] == "abort"
 
+    def test_user_abort_refuses_a_reason_the_trace_cannot_carry(self):
+        engine = Engine(2, SI, NONE, trace=TraceLog())
+        ctx = engine.begin(0)
+        engine.write(ctx, 0, "kept")
+        with pytest.raises(UsageError, match="unknown abort reason 'bogus'"):
+            engine.abort(ctx, "bogus")
+        assert ctx.status == Status.INFLIGHT
+        engine.abort(ctx, "user")
+        assert [e.reason for e in engine.trace.merged()
+                if e.kind == "abort"] == ["user"]
+
 
 class TestFailureAtomicity:
     @pytest.mark.parametrize("serial", [False, True])
