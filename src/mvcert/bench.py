@@ -79,8 +79,8 @@ class WorkloadConfig:
             raise ValueError("at most %d worker threads" % MAX_WORKERS)
         if self.txns_per_thread < 1:
             raise ValueError("txns_per_thread must be positive")
-        if self.safe_snapshot_interval < 0 or self.read_mostly_threshold < 0:
-            raise ValueError("intervals and thresholds must be >= 0")
+        if self.safe_snapshot_interval < 0:
+            raise ValueError("safe_snapshot_interval must be >= 0")
         if self.safe_snapshot_interval and self.certifier is not CertifierMode.SSN:
             raise ValueError("safe snapshots need the ssn certifier")
         for group in self.groups:

@@ -160,7 +160,6 @@ class ExclusionCertifier(Certifier):
                  store: Store, *, serial: bool = False,
                  observe: bool = False, threshold: int = 0):
         super().__init__(clock, table, store)
-        self.serial = serial
         self.observe = observe
         self.threshold = threshold
         self.latch = threading.Lock() if serial else None
@@ -269,7 +268,7 @@ class ExclusionCertifier(Certifier):
             ctx.cstamp = ctx.begin_stamp
             return None
         self.acquire_commit_stamp(ctx)
-        if self.serial:
+        if self.latch is not None:
             cause = self.certify_serial(ctx)
         else:
             cause = self.certify_parallel(ctx)
@@ -508,8 +507,6 @@ class SsiCertifier(Certifier):
         result is True and it must abort (conservatively even if peer itself
         ended up aborting).
         """
-        if peer is ctx:
-            return False
         seen = peer.ssi.in_rw.fetch_or(IN_RW)
         return bool(seen & DECIDED) and peer.ssi.committed_pivot(peer.cstamp)
 

@@ -161,24 +161,19 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    # One key map for all the scripts: a key names one record in each.  A
+    # cycle with no flagged member raises AttributionFailure in the oracle.
+    keys: dict[str, int] = {}
     programs = []
     for path in args.scripts:
         with open(path) as handle:
-            steps = parse_script(handle.read())
+            steps = parse_script(handle.read(), keys)
         programs.append([(step.op, step.key) for step in steps])
-    histories = cyclic = flagged_ok = 0
+    histories = cyclic = 0
     for history in enumerate_interleavings(programs):
         histories += 1
-        if history.cyclic:
-            cyclic += 1
-            if history.offline_flagged:
-                flagged_ok += 1
-    print("histories=%d cyclic=%d cyclic_with_violation=%d"
-          % (histories, cyclic, flagged_ok))
-    if cyclic != flagged_ok:
-        print("cyclic histories without a window violation found",
-              file=sys.stderr)
-        return 2
+        cyclic += history.cyclic
+    print("histories=%d cyclic=%d" % (histories, cyclic))
     return 0
 
 

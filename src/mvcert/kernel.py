@@ -26,8 +26,10 @@ Stamp words are 64-bit integers with a fixed layout:
 Timestamp value 0 is reserved as "invalid"; the global clock never issues it.
 The +infinity sentinel used for successor stamps is the largest representable
 timestamp value, which preserves min() semantics without special cases.
-The operation path tests ``word & TID_TAG`` and masks with ``VALUE_MASK``
-inline; the helper functions below serve the cold paths and the tests.
+A timestamp word is its value, and a transaction id's word is
+``TID_TAG | tid``.  The operation path tests ``word & TID_TAG`` and masks
+with ``VALUE_MASK`` inline; three helpers serve the cold paths and the
+tests: is_tid, is_locked and word_value.
 """
 
 from __future__ import annotations
@@ -68,16 +70,6 @@ class TransactionAborted(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-def ts_word(value: int) -> int:
-    assert 0 <= value <= VALUE_MASK
-    return value
-
-
-def tid_word(tid: int) -> int:
-    assert 0 < tid <= VALUE_MASK
-    return TID_TAG | tid
 
 
 def is_tid(word: int) -> bool:

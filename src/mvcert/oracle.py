@@ -108,7 +108,9 @@ def build_graph(events) -> DependencyGraph:
     begin and a second committed overwriter of one version (at its commit
     line) are raised as the pass reaches them.  A forward reference can be
     judged only once its creator's outcome is known, so forward references
-    are resolved after the pass, and the earliest bad one is raised.
+    are resolved after the pass, and the earliest bad one is raised.  Each
+    names the offending event by its seq, as parse_trace does (see
+    MalformedTrace).
     """
     graph = DependencyGraph()
     nodes = graph.nodes
@@ -157,8 +159,8 @@ def build_graph(events) -> DependencyGraph:
                     (tid, (kind, key, creator)))
             # else the creator aborted: the whole access is moot
 
-    for position, event in enumerate(events):
-        kind, tid = event.kind, event.tid
+    for event in events:
+        position, kind, tid = event.seq, event.kind, event.tid
         if kind == "begin" and tid in seen:
             raise MalformedTrace(position, "tid %d began twice" % tid)
         seen.add(tid)
@@ -355,14 +357,17 @@ class ScriptStep:
     key: int | None = None
 
 
-def parse_script(text: str) -> list[ScriptStep]:
+def parse_script(text: str,
+                 keys: dict[str, int] | None = None) -> list[ScriptStep]:
     """Parse the schedule DSL: one step per line, `label op [key]`.
 
     Keys may be arbitrary tokens; they map to record indexes in order of
-    first appearance.  Comments start with '#'.
+    first appearance.  Several scripts number their keys together when they
+    share one keys dict, which this call extends.  Comments start with '#'.
     """
     steps = []
-    keys: dict[str, int] = {}
+    if keys is None:
+        keys = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -391,20 +396,21 @@ class ReplayResult:
 
 def replay_scripted(steps, scheme: Scheme = Scheme.SI,
                     certifier: CertifierMode = CertifierMode.SSN, *,
-                    db_size: int | None = None, serial: bool = True,
-                    observe: bool = False,
+                    serial: bool = True, observe: bool = False,
                     on_aborted: str = "error") -> ReplayResult:
-    """Execute script steps one at a time against a fresh engine.
+    """Execute script steps (or script text) one at a time on a fresh engine.
 
-    Fully deterministic: one OS thread, transaction slots assigned by order
-    of first appearance.  A step addressed to a transaction that already
-    aborted is a script error unless on_aborted="skip" (the enumerator's
-    policy, where mid-history aborts simply end that program).
+    One record per key up to the largest key named.  Fully deterministic:
+    one OS thread, transaction slots assigned by order of first appearance,
+    at most MAX_WORKERS transactions.  An `abort` step, or the end of the
+    steps before a transaction finished, aborts it as ("aborted", "user").
+    A step addressed to a transaction that already finished is a script
+    error unless on_aborted="skip" (the enumerator's policy, where
+    mid-history aborts simply end that program).
     """
     if isinstance(steps, str):
         steps = parse_script(steps)
-    if db_size is None:
-        db_size = max((s.key for s in steps if s.key is not None), default=0) + 1
+    db_size = max((s.key for s in steps if s.key is not None), default=0) + 1
     trace = TraceLog()
     engine = Engine(db_size, scheme, certifier, serial_commit=serial,
                     observe=observe, trace=trace)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from .kernel import (
     COMMITTED, INFINITY, RMW_LOCK, TID_TAG, VALUE_MASK, AtomicCell, Scheme,
     TransactionContext, TransactionTable, is_tid, settle, spin_until,
-    ts_word, word_value,
+    word_value,
 )
 
 # Enum members are slow to look up as class attributes on CPython 3.11;
@@ -121,9 +121,6 @@ class Store:
         # whole table, which table updates fold into their pstamp.
         self.table_pstamp = AtomicCell(0)
         self.table = table
-
-    def __len__(self):
-        return len(self.records)
 
     def visible_version(self, ctx: TransactionContext,
                         record: Record) -> VersionMeta:
@@ -250,9 +247,9 @@ class Store:
                         version.pstamp = cstamp
         pi = ctx.sstamp & VALUE_MASK
         for version in ctx.writes:
-            version.prev.sstamp = ts_word(pi)
+            version.prev.sstamp = pi
             version.pstamp = cstamp
-            version.cstamp = ts_word(cstamp)
+            version.cstamp = cstamp
 
     def rollback(self, ctx: TransactionContext) -> None:
         """Unlink every version an aborted transaction installed.

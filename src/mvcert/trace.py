@@ -58,6 +58,9 @@ _new = tuple.__new__
 
 
 class MalformedTrace(ValueError):
+    """index is the offending event's seq: its 0-based line index in a file,
+    blank and comment lines included, or its row index in a TraceView."""
+
     def __init__(self, index: int, message: str):
         super().__init__("event %d: %s" % (index, message))
         self.index = index

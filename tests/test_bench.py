@@ -2,7 +2,10 @@
 
 import dataclasses
 import importlib
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,9 +15,11 @@ from mvcert import (
     parse_script, replay_scripted, run_bench, write_trace,
 )
 from mvcert.cli import main
-from mvcert.kernel import VALUE_MASK
+from mvcert.kernel import VALUE_MASK, TransactionAborted
+from mvcert.schedulers import Engine
 from mvcert.trace import (
-    ABORT_REASONS, MalformedTrace, TraceEvent, parse_trace, render_trace,
+    ABORT_REASONS, MalformedTrace, TraceEvent, parse_trace, read_trace,
+    render_event, render_trace,
 )
 
 
@@ -49,6 +54,20 @@ class TestValidation:
             config(certifier=CertifierMode.NONE,
                    safe_snapshot_interval=10).validate()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(groups=[ClientGroup(0, 4, 8, 2)]),
+         "group needs at least one thread"),
+        (dict(db_size=0), "db_size must be positive"),
+        (dict(groups=[]), "need at least one client group"),
+        (dict(txns_per_thread=0), "txns_per_thread must be positive"),
+        (dict(safe_snapshot_interval=-1),
+         "safe_snapshot_interval must be >= 0"),
+    ], ids=["no-threads", "no-records", "no-groups", "no-txns",
+            "negative-interval"])
+    def test_config_errors_name_their_cause(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            config(**overrides).validate()
+
 
 class TestDeterminism:
     def test_single_thread_traces_are_bit_identical(self):
@@ -71,6 +90,24 @@ class TestAccounting:
         assert stats.committed == stats.offered == 1000
         assert stats.total_aborts == 0
         assert check_trace(events).clean
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_transaction_past_the_retry_cap_fails_the_run(
+            self, monkeypatch, threads):
+        # Every commit is refused, so each worker retries until the cap;
+        # with two threads the first worker's error is re-raised by the
+        # caller after both have stopped.
+        def refuse(engine, ctx):
+            engine.abort(ctx)
+            raise TransactionAborted("user")
+
+        monkeypatch.setattr("mvcert.bench.RETRY_CAP", 3)
+        monkeypatch.setattr(Engine, "commit", refuse)
+        with pytest.raises(RuntimeError,
+                           match="transaction exceeded 3 retries on slot"):
+            run_bench(config(groups=[ClientGroup(threads, 4, 8, 2)]))
 
     def test_retry_mode_commits_offered_and_counts_retries(self):
         stats, _ = run_bench(config(
@@ -167,9 +204,41 @@ class TestCli:
         a.write_text("T read x\nT write y\nT commit\n")
         b.write_text("T read y\nT write x\nT commit\n")
         assert main(["enumerate", str(a), str(b)]) == 0
-        out = capsys.readouterr().out
-        assert "histories=20" in out
-        assert "cyclic=" in out
+        # One key map serves both scripts, so x and y name the same
+        # records in each: the write-skew pair.
+        assert capsys.readouterr().out == "histories=20 cyclic=18\n"
+
+    def test_distinct_writes_keep_write_keys_out_of_the_read_set(
+            self, tmp_path, capsys):
+        emitted = tmp_path / "distinct.trace"
+        assert main(["bench", "--db", "12", "--footprint", "6:10",
+                     "--writes", "3", "--txns", "200", "--distinct-writes",
+                     "--emit-trace", str(emitted)]) == 0
+        assert "committed=200" in capsys.readouterr().out
+        reads, writes = {}, {}
+        for event in read_trace(emitted):
+            if event.kind == "read":
+                reads.setdefault(event.tid, set()).add(event.key)
+            elif event.kind == "write":
+                writes.setdefault(event.tid, set()).add(event.key)
+        assert len(writes) == 200
+        for tid, written in writes.items():
+            assert not written & reads.get(tid, set())
+
+    def test_module_entry_point_exits_with_the_check_status(self, tmp_path):
+        trace = tmp_path / "skew.trace"
+        write_trace(replay_scripted(
+            "T1 read X\nT2 read Y\nT1 write Y\nT2 write X\n"
+            "T1 commit\nT2 commit\n", Scheme.SI, CertifierMode.NONE).trace,
+            trace)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "mvcert.cli", "check", str(trace)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout.startswith("serializable=no sccs=1\n")
 
     def test_unknown_file_is_a_usage_error(self, capsys):
         assert main(["check", "/nonexistent/trace"]) == 1
@@ -193,6 +262,7 @@ class TestCli:
          "error: invalid literal for int() with base 10: 'x'"),
         ("threads=1,fmin=3,fmax=5,fmid=4",
          "error: unknown group fields ['fmid']"),
+        ("threads=1,fmin=3,fmax", "error: bad group field 'fmax'"),
     ])
     def test_group_flag_reports_the_real_error(self, capsys, spec, message):
         assert main(["bench", "--group", spec]) == 1
@@ -264,6 +334,10 @@ class TestTraceRoundTrip:
             log.read(3, 1, 1 << 63, 0, 0)
         assert list(log.merged())[-1] == TraceEvent(len(expected), "begin",
                                                     2, 1)
+
+    def test_an_unknown_kind_does_not_render(self):
+        with pytest.raises(ValueError, match="unknown event kind 'frob'"):
+            render_event(TraceEvent(0, "frob", 1, 0))
 
     @pytest.mark.parametrize("line, message", [
         ("begin 1", "event 1: unparseable line 'begin 1'"),

@@ -13,7 +13,7 @@ from mvcert.kernel import (
     INFINITY, LOCK_BIT, PENDING, TID_TAG, VALUE_MASK, AtomicCell, GlobalClock,
     IllegalTransition, Scheme, Status, TransactionContext, TransactionTable,
     UsageError, is_locked, is_tid, settle, spin_until,
-    transition_status, tid_word, ts_word, word_value,
+    transition_status, word_value,
 )
 from mvcert.certifier import overwriter_outcome
 from mvcert.schedulers import CertifierMode, Engine
@@ -23,19 +23,17 @@ from mvcert.trace import TraceLog
 
 class TestStampWords:
     def test_timestamp_words_are_plain_values(self):
-        assert ts_word(0) == 0
-        assert ts_word(41) == 41
-        assert not is_tid(ts_word(41))
-        assert not is_locked(ts_word(41))
+        assert not is_tid(41)
+        assert not is_locked(41)
 
     def test_tid_words_carry_the_tag(self):
-        word = tid_word(129)
+        word = TID_TAG | 129
         assert is_tid(word)
         assert word_value(word) == 129
         assert not is_locked(word)
 
     def test_lock_bit_is_independent(self):
-        word = ts_word(7) | LOCK_BIT
+        word = 7 | LOCK_BIT
         assert is_locked(word)
         assert word_value(word) == 7
         assert not is_tid(word)
@@ -43,7 +41,7 @@ class TestStampWords:
     def test_infinity_is_the_largest_timestamp(self):
         assert INFINITY == VALUE_MASK
         assert not is_tid(INFINITY)
-        assert min(INFINITY, ts_word(5)) == 5
+        assert min(INFINITY, 5) == 5
 
     def test_tag_and_lock_bits_do_not_collide_with_values(self):
         assert TID_TAG > VALUE_MASK
@@ -120,7 +118,7 @@ class TestAtomicCell:
     def test_versions_carry_no_per_cell_lock(self):
         # A flat version takes about 88 B; a cell per stamp word cost
         # 264 B, a lock per cell about 650 B.
-        word = tid_word(65)
+        word = TID_TAG | 65
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -145,7 +143,7 @@ class TestAtomicCell:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(store) == 10_000
+        assert len(store.records) == 10_000
         assert retained / 10_000 <= 160
 
 
@@ -174,7 +172,7 @@ class _RecordingLock:
 
 
 def _version():
-    return VersionMeta(65, tid_word(65), None, None)
+    return VersionMeta(65, TID_TAG | 65, None, None)
 
 
 def _version_words(version):
@@ -227,7 +225,7 @@ READ_MODIFY_WRITES = {
     "AtomicCell.fold_max": (
         lambda: AtomicCell(0), lambda c: c.fold_max(5), AtomicCell.load),
     "VersionMeta.swap_sstamp": (
-        _version, lambda v: v.swap_sstamp(INFINITY, tid_word(129)),
+        _version, lambda v: v.swap_sstamp(INFINITY, TID_TAG | 129),
         _version_words),
     "TransactionContext.swap_status": (
         _ctx, lambda c: c.swap_status(Status.INFLIGHT, Status.COMMITTING),
@@ -477,7 +475,7 @@ def test_stamp_resolution_waits_through_spin_until(monkeypatch):
     # settles: each resolution loop must give up through spin_until.
     monkeypatch.setattr("mvcert.kernel.SPIN_LIMIT", 100)
     engine = Engine(2, Scheme.SI, CertifierMode.SSI)
-    ghost = tid_word(engine.table.allocate_tid(1))
+    ghost = TID_TAG | engine.table.allocate_tid(1)
     version = engine.store.records[0].load()
     ctx = engine.begin(0)
     orphan = VersionMeta(word_value(ghost), ghost, version, 1)

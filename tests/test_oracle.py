@@ -210,6 +210,31 @@ class TestBuildGraph:
         assert set(graph.nodes) == {129}
         assert graph.edges == set()
 
+    def test_every_fault_names_the_line_index(self):
+        # Comment and blank lines count, whichever check fires: the
+        # parser's or the graph builder's.
+        lines = ["begin 64 0", "# a comment", "", "write 64 0 0 0 0",
+                 "begin 64 0"]
+        with pytest.raises(MalformedTrace, match="twice") as caught:
+            build_graph(parse_trace(lines))
+        assert str(caught.value).startswith("event 4: ")
+        assert caught.value.index == 4
+        lines[-1] = "begin 64"
+        with pytest.raises(MalformedTrace, match="unparseable") as caught:
+            build_graph(parse_trace(lines))
+        assert caught.value.index == 4
+
+    def test_an_access_after_the_commit_line_still_counts(self):
+        graph = build_graph(trace("""
+            begin 64 0
+            write 64 0 0 0 0
+            commit 64 0 5
+            begin 129 1
+            commit 129 1 7
+            read 129 1 0 64 5
+        """))
+        assert graph.edges == {(64, 129, EDGE_WR)}
+
     def test_a_line_fault_wins_over_an_earlier_bad_reference(self):
         """Which of two faults is raised.
 
@@ -600,6 +625,23 @@ class TestScripts:
     def test_step_after_conclusion_is_a_script_error(self):
         with pytest.raises(UsageError, match="finished transaction"):
             replay_scripted("T1 read x\nT1 commit\nT1 read x\n", SI, SSN)
+
+    def test_abort_step_and_unfinished_transactions_roll_back(self):
+        result = replay_scripted(
+            "T1 write x\nT1 abort\nT2 read x\nT3 write y\n", SI, SSN)
+        assert result.outcomes == {label: ("aborted", "user")
+                                   for label in ("T1", "T2", "T3")}
+        assert [event.tid for event in result.trace
+                if event.kind == "abort"] == [result.tids[label]
+                                              for label in ("T1", "T2", "T3")]
+        assert all(record.load().creator_tid == 0
+                   for record in result.engine.store.records)
+
+    def test_more_transactions_than_worker_slots_is_a_script_error(self):
+        script = "".join("T%d read x\n" % n for n in range(65))
+        with pytest.raises(UsageError,
+                           match="script declares more than 64 transactions"):
+            replay_scripted(script, SI, SSN)
 
     def test_replay_is_deterministic(self):
         script = ("T1 read A\nT2 write A\nT2 commit\nT1 read A\nT1 commit\n")

@@ -94,6 +94,71 @@ class TestSchemeDispatch:
             engine.begin(0)
 
 
+def _after_commit(step):
+    """Run step(engine, ctx) on a transaction that already committed."""
+    def run():
+        engine = Engine(2, SI, SSN)
+        ctx = engine.begin(0)
+        engine.commit(ctx)
+        step(engine, ctx)
+    return run
+
+
+def _write_in_snapshot_mode():
+    engine = Engine(2, SI, SSN)
+    engine.take_safe_snapshot()
+    engine.write(engine.begin(0, read_only=True), 0)
+
+
+def _scan_without_ssn():
+    engine = Engine(2, SI, NONE)
+    engine.scan(engine.begin(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Engine(2, SI, NONE, observe=True),
+     "observe mode records exclusion checks; needs ssn"),
+    (_after_commit(Engine.commit), "is not in flight"),
+    (_after_commit(lambda engine, ctx: engine.read(ctx, 0)),
+     "is not in flight"),
+    (_after_commit(lambda engine, ctx: engine.write(ctx, 0)),
+     "is not in flight"),
+    (_write_in_snapshot_mode, "snapshot queries are read-only"),
+    (_scan_without_ssn, "table scans need the ssn certifier"),
+    (lambda: Engine(2, SI, SSI).take_safe_snapshot(),
+     "safe snapshots need the ssn certifier"),
+], ids=["observe-without-ssn", "commit-after-commit", "read-after-commit",
+        "write-after-commit", "write-in-snapshot-mode", "scan-without-ssn",
+        "snapshot-without-ssn"])
+def test_usage_errors_name_the_misuse(call, message):
+    with pytest.raises(UsageError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("serial", [False, True])
+def test_scan_aborts_on_a_window_violation(serial):
+    # W reads key 2 under its old snapshot, which X already overwrote, so
+    # W's successor watermark is X's stamp 1; W then overwrites key 1.  S's
+    # scan reads C's key 0 (stamp 2) and key 1's initial version, whose
+    # committed overwriter W hands S that watermark: 1 <= 2 closes S's
+    # window in the scan's own on_read.
+    engine = Engine(3, SI, SSN, serial_commit=serial, trace=TraceLog())
+    w = engine.begin(0)
+    for slot, key in ((1, 2), (2, 0)):
+        ctx = engine.begin(slot)
+        engine.write(ctx, key)
+        engine.commit(ctx)
+    s = engine.begin(3)
+    engine.read(w, 2)
+    engine.write(w, 1)
+    engine.commit(w)
+    with pytest.raises(TransactionAborted) as failure:
+        engine.scan(s)
+    assert failure.value.reason == "ssn_exclusion"
+    assert s.status == Status.ABORTED
+    assert check_trace(engine.trace.merged()).clean
+
+
 class TestSsiCertifier:
     def test_dangerous_structure_aborts_the_pivot(self):
         result = replay_scripted(FIG_SCHEDULE, SI, SSI)

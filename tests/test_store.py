@@ -4,8 +4,8 @@ import tracemalloc
 import pytest
 
 from mvcert.kernel import (
-    INFINITY, Scheme, Status, TransactionContext, TransactionTable,
-    is_tid, transition_status, tid_word, ts_word, word_value,
+    INFINITY, TID_TAG, Scheme, Status, TransactionContext, TransactionTable,
+    is_tid, transition_status, word_value,
 )
 from mvcert.schedulers import NotFound
 from mvcert.store import Store, VersionMeta, WriteConflict
@@ -49,7 +49,7 @@ class TestInitialState:
             head = record.load()
             assert head.payload is None
             assert head.creator_tid == 0
-            assert head.cstamp == ts_word(0)
+            assert head.cstamp == 0
             assert head.prev is None
 
     def test_initial_version_is_visible_but_not_found_when_required(self):
@@ -143,7 +143,7 @@ class TestInstall:
         prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "v3")
         writer = make_ctx(table, 0, Scheme.RC)
         store.install_version(writer, record, "v4")
-        assert prev.sstamp == tid_word(writer.tid)
+        assert prev.sstamp == TID_TAG | writer.tid
 
     def test_repeated_own_overwrite_replaces_payload_in_place(self, store, table):
         record = store.records[0]
@@ -194,7 +194,7 @@ class TestFinalizeAndRollback:
         final = prev.sstamp
         assert not is_tid(final)
         assert word_value(final) == 9
-        assert version.cstamp == ts_word(9)
+        assert version.cstamp == 9
         assert version.pstamp == 9
 
     def test_rollback_restores_chain_and_sstamp(self, store, table):
@@ -250,6 +250,28 @@ def test_store_chain_validator_detects_health():
         engine.write(ctx, round_ % 8)
         engine.commit(ctx)
     engine.store.check_chains()
+
+
+def test_store_chain_validator_detects_out_of_order_stamps():
+    engine = Engine(2, Scheme.SI, CertifierMode.SSN)
+    ctx = engine.begin(0)
+    engine.write(ctx, 1)
+    engine.commit(ctx)
+    engine.store.records[1].load().cstamp = 0   # ties the initial version
+    with pytest.raises(AssertionError,
+                       match="record 1 chain stamps not strictly increasing"):
+        engine.store.check_chains()
+
+
+def test_store_needs_a_record():
+    with pytest.raises(ValueError, match="store needs at least one record"):
+        Store(0, TransactionTable())
+
+
+def test_failed_sstamp_swap_leaves_the_word():
+    version = VersionMeta(0, 0, None, None)
+    assert not version.swap_sstamp(TID_TAG | 65, INFINITY - 1)
+    assert version.sstamp == INFINITY
 
 
 class TestReclamation:
