@@ -12,8 +12,7 @@ through five hooks, without asking which certifier it has:
     post_commit(ctx)               the commit is final and stamped
 
 on_read, on_write and pre_commit return an abort cause, or None to go on.
-``latch`` is a lock the Engine holds around each commit, or None.  There are
-three certifiers:
+There are three certifiers:
 
     Certifier           the bare scheme: no reader bits, no read set, no
                         verdict; commits are never refused
@@ -30,15 +29,16 @@ a potential dependency cycle, so it aborts:
 
     violation  <=>  sstamp <= pstamp
 
-Two commit paths compute the same verdict and differ only in the latch and
-in how they read the overwrite words of their read set.  The serial path
-holds the latch around the whole commit and reads the words directly.  The
-parallel path is latch-free: a word may carry an overwriter's transaction
-id instead of a final stamp, which is resolved through the transaction
-table with kernel.settle, waiting only on peers that already hold a smaller
-commit stamp and are still mid-commit.  Both then run one shared tail: the
-reader sweep and handshake, the table and snapshot pstamps, the seal of a
-read-mostly transaction's sstamp, and the window test.
+No certifier takes a lock around a commit; whether commits may overlap is
+the Engine's choice.  An overwrite word in a read set may carry an
+overwriter's transaction id instead of a final stamp.  overwriter_outcome
+is the one place that resolves it, through the transaction table with
+kernel.settle, waiting only on peers that already hold a smaller commit
+stamp and are still mid-commit.  When the Engine runs one commit at a time
+no overwriter is mid-commit, and the same code gives the reference verdict.
+After the read set, SSN's pre-commit runs the reader sweep and handshake,
+the table and snapshot pstamps, the seal of a read-mostly transaction's
+sstamp, and the window test.
 
 SSN also owns the active safe snapshot (a published stamp that acts as a
 reader of every record, folded into overwriters' pstamp), the read-only
@@ -59,8 +59,6 @@ be stopped.
 
 from __future__ import annotations
 
-import threading
-
 from .kernel import (
     COMMITTING, INFINITY, INFLIGHT, LOCK_BIT, PENDING, TID_TAG, VALUE_MASK,
     AtomicCell, GlobalClock, Scheme, TableMode, TransactionContext,
@@ -78,8 +76,7 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
     """Resolve what happened to the overwriter of a version ctx read.
 
     Returns one of:
-        ("own", None)             ctx itself overwrote the version
-        ("unwritten", None)       no overwrite yet
+        ("none", None)            no foreign overwrite yet, or ctx's own
         ("final", raw_word)       overwrite committed and fully stamped
         ("committed", peer_ctx)   overwrite committed, stamps still pending
         ("pending", peer_ctx)     overwriter in flight or holding a larger stamp
@@ -88,17 +85,19 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
     branching, because the owner may finalize it at any moment.  A tid whose
     context is gone means the owner concluded, and an aborted owner is
     undoing its claim; either way the field is about to hold (or already
-    holds) other content, which we wait for and re-read.  ctx must have
-    drawn its commit stamp: settle judges the overwriter against it.
+    holds) other content, which we wait for and re-read.  settle judges the
+    overwriter against ctx's commit stamp; a caller that has drawn none yet
+    (ctx.cstamp == 0) gets "pending" for every live overwriter, committed
+    or not, and never "committed".
     """
     while True:
         word = version.sstamp
         if word == INFINITY:
-            return "unwritten", None
+            return "none", None
         if not is_tid(word):
             return "final", word
         if word_value(word) == ctx.tid:
-            return "own", None
+            return "none", None
         peer = table.get(word_value(word))
         if peer is not None:
             stamp = settle(peer, ctx.cstamp)
@@ -116,8 +115,6 @@ class Certifier:
     It registers no reader bit and keeps no read set, so commits raise no
     access stamps; pre-commit only draws the commit stamp.
     """
-
-    latch = None
 
     def __init__(self, clock: GlobalClock, table: TransactionTable,
                  store: Store):
@@ -148,21 +145,18 @@ class Certifier:
 
 
 class ExclusionCertifier(Certifier):
-    """SSN: the pstamp/sstamp bookkeeping and both commit paths.
+    """SSN: the pstamp/sstamp bookkeeping and the commit check.
 
-    serial takes the latched commit path under ``latch``; observe notes
-    violations in ctx.observed_violation instead of aborting; reads by
-    read-mostly transactions of versions more than threshold ticks older
-    than the clock go untracked (threshold 0 tracks every read).
+    observe notes violations in ctx.observed_violation instead of aborting;
+    reads by read-mostly transactions of versions more than threshold ticks
+    older than the clock go untracked (threshold 0 tracks every read).
     """
 
     def __init__(self, clock: GlobalClock, table: TransactionTable,
-                 store: Store, *, serial: bool = False,
-                 observe: bool = False, threshold: int = 0):
+                 store: Store, *, observe: bool = False, threshold: int = 0):
         super().__init__(clock, table, store)
         self.observe = observe
         self.threshold = threshold
-        self.latch = threading.Lock() if serial else None
         self._snapshot = 0  # stamp of the active safe snapshot, 0 for none
 
     # ---------------- safe snapshots ----------------
@@ -268,10 +262,7 @@ class ExclusionCertifier(Certifier):
             ctx.cstamp = ctx.begin_stamp
             return None
         self.acquire_commit_stamp(ctx)
-        if self.latch is not None:
-            cause = self.certify_serial(ctx)
-        else:
-            cause = self.certify_parallel(ctx)
+        cause = self.certify_parallel(ctx)
         if cause is not None and self.observe:
             ctx.observed_violation = True
             return None
@@ -299,25 +290,8 @@ class ExclusionCertifier(Certifier):
             ctx.cstamp = self.clock.next()
         ctx.fold_sstamp(ctx.cstamp)
 
-    def certify_serial(self, ctx: TransactionContext) -> str | None:
-        """Watermark finalization and the window test, latched variant.
-
-        Returns the abort cause, or None when the commit may proceed.  The
-        caller must hold self.latch from before this call until the
-        post-commit propagation (or rollback) has finished.
-        """
-        for version in ctx.reads:
-            word = version.sstamp
-            if word == INFINITY or is_tid(word):
-                # Own overwrites are skipped; a foreign tid here belongs to a
-                # transaction that cannot be mid-commit while we hold the
-                # latch, so it counts as no committed overwrite.
-                continue
-            ctx.fold_sstamp(word_value(word))
-        return self._window_test(ctx)
-
     def certify_parallel(self, ctx: TransactionContext) -> str | None:
-        """Latch-free watermark finalization and window test.
+        """Watermark finalization and the window test; commits may overlap.
 
         Returns the abort cause, or None when the commit may proceed.
         """
@@ -329,7 +303,7 @@ class ExclusionCertifier(Certifier):
                 ctx.fold_sstamp(word_value(value))
             elif kind == "committed":
                 ctx.fold_sstamp(word_value(value.sstamp))
-            # own / unwritten / pending contribute nothing
+            # none / pending contribute nothing
         return self._window_test(ctx)
 
     @staticmethod
@@ -354,7 +328,7 @@ class ExclusionCertifier(Certifier):
                 return True
 
     def _window_test(self, ctx: TransactionContext) -> str | None:
-        """The tail both commit paths share, once the read set is folded.
+        """The tail of the commit check, once the read set is folded.
 
         First the reader sweep: it walks the readers bitmap of each
         overwritten predecessor.  The per-slot last commit stamp covers
@@ -477,25 +451,17 @@ class SsiCertifier(Certifier):
     def on_read(self, ctx: TransactionContext, version: VersionMeta,
                 cstamp: int) -> str | None:
         self.store.register_reader(version, ctx.slot)
-        while True:
-            word = version.sstamp
-            if word == INFINITY:
-                ctx.reads[version] = None
-                return None
-            if not word & TID_TAG:
-                return self._committed_overwrite(ctx, version)
-            peer = self.table.get(word & VALUE_MASK)
-            if peer is None:
-                # Overwriter concluded; its sstamp settles on re-read.
-                spin_until(lambda: version.sstamp != word,
-                           "overwriter %d to conclude" % word_value(word))
-                continue
+        # ctx has drawn no commit stamp, so a live overwriter is "pending".
+        kind, peer = overwriter_outcome(self.table, version, ctx)
+        if kind == "final":
+            return self._committed_overwrite(ctx, version)
+        if kind == "pending":
             # Mark before tracking: a reader this aborts clears no bit here.
             if self._mark_inbound(ctx, peer):
                 return "ssi_dangerous"
             ctx.ssi.out_rw = True
-            ctx.reads[version] = None
-            return None
+        ctx.reads[version] = None
+        return None
 
     def _mark_inbound(self, ctx: TransactionContext,
                       peer: TransactionContext) -> bool:

@@ -118,7 +118,7 @@ def build_graph(events) -> DependencyGraph:
     inflight = {}   # tid -> its (kind, key, creator) accesses so far
     versions = {}   # (key, creator) -> None | [committed readers] | overwriter
     waiting = {}    # creator in flight -> committed accesses to its versions
-    forward = []    # (position, tid, kind, key, creator)
+    forward = []    # (position, key, creator)
 
     def settle(position, tid, kind, key, creator):
         """Add the edges of one committed access to a committed version."""
@@ -151,7 +151,7 @@ def build_graph(events) -> DependencyGraph:
                 versions.setdefault((key, tid), None)
         for kind, key, creator in accesses:
             if creator is None:
-                continue  # a forward reference, settled after the pass
+                continue  # a forward reference, judged after the pass
             if creator == 0 or (key, creator) in versions:
                 settle(position, tid, kind, key, creator)
             elif creator in inflight:
@@ -178,7 +178,7 @@ def build_graph(events) -> DependencyGraph:
             if creator != 0 and (key, creator) not in versions and not any(
                     prior[0] == "write" and prior[1] == key
                     for prior in inflight.get(creator, ())):
-                forward.append((position, tid, kind, key, creator))
+                forward.append((position, key, creator))
                 if kind == "read":
                     continue
                 access = (kind, key, None)  # it still creates (key, tid)
@@ -187,16 +187,14 @@ def build_graph(events) -> DependencyGraph:
             else:
                 inflight.setdefault(tid, []).append(access)
 
-    for position, tid, kind, key, creator in forward:
+    for position, key, creator in forward:
         identity = (key, creator)
         if creator in nodes:
             if identity not in versions:
                 raise MalformedTrace(position, "reference to version %r "
                                      "never created" % (identity,))
-            if creator != tid:
-                raise MalformedTrace(position, "version %r referenced "
-                                     "before creation" % (identity,))
-            settle(position, tid, kind, key, creator)
+            raise MalformedTrace(position, "version %r referenced "
+                                 "before creation" % (identity,))
         elif creator not in seen:
             raise MalformedTrace(position, "reference to version %r "
                                  "never created" % (identity,))

@@ -15,16 +15,22 @@ them.
 Three certifier settings exist:
 
     none    the bare scheme; commits are never refused
-    ssn     the exclusion-window certifier (serial or latch-free parallel
-            commit path, plus an observe mode that records violations
-            without enforcing them)
+    ssn     the exclusion-window certifier (plus an observe mode that
+            records violations without enforcing them)
     ssi     a two-flag dangerous-structure certifier for comparison: a
             transaction with both an inbound and an outbound read
             anti-dependency whose outbound partner committed first aborts
+
+The commit path is the Engine's choice, not the certifier's.  By default
+commits run latch-free and concurrently.  With serial_commit the Engine
+holds one lock around each commit, under any certifier, so no commit ever
+meets a peer that is mid-commit: the reference the latch-free path is
+checked against.
 """
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 
 from .certifier import Certifier, ExclusionCertifier, SsiCertifier
@@ -67,10 +73,11 @@ class Engine:
         self.table = TransactionTable()
         self.store = Store(db_size, self.table)
         self.trace = trace
+        self.latch = threading.Lock() if serial_commit else None
         if certifier is CertifierMode.SSN:
             self.cert = ExclusionCertifier(
-                self.clock, self.table, self.store, serial=serial_commit,
-                observe=observe, threshold=read_mostly_threshold)
+                self.clock, self.table, self.store, observe=observe,
+                threshold=read_mostly_threshold)
         elif certifier is CertifierMode.SSI:
             self.cert = SsiCertifier(self.clock, self.table, self.store)
         else:
@@ -212,9 +219,11 @@ class Engine:
         """Run the certifier's pre-commit and post-commit; returns the stamp.
 
         Raises TransactionAborted when certification refuses the commit.
+        With serial_commit, every commit but a safe-snapshot query's holds
+        the engine's latch from pre-commit through post-commit or rollback.
         """
         self._require_inflight(ctx)
-        latch = self.cert.latch
+        latch = self.latch
         if latch is not None and not ctx.snapshot_mode:
             with latch:
                 return self._commit(ctx)

@@ -244,6 +244,15 @@ class TestCli:
         assert main(["check", "/nonexistent/trace"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_read_of_own_version_before_its_write_is_malformed(
+            self, tmp_path, capsys):
+        trace_path = tmp_path / "own.trace"
+        trace_path.write_text("begin 65 1\nread 65 1 0 65 0\n"
+                              "write 65 1 0 0 0\ncommit 65 1 1\n")
+        assert main(["check", str(trace_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: event 1: version (0, 65) referenced before creation\n")
+
     def test_bad_footprint_flag(self, capsys):
         assert main(["bench", "--footprint", "banana"]) == 1
 

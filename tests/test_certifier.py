@@ -386,6 +386,40 @@ class TestReadMostly:
         engine.commit(updater)
         assert updater.pstamp >= published
 
+    @pytest.mark.xfail(strict=True, raises=TransactionAborted, reason=(
+        "needless abort: an untracked read leaves its slot bit set, so the "
+        "reader sweep folds in the slot's later last_cstamp (ROADMAP item "
+        "5, accuracy)"))
+    def test_sweep_ignores_a_later_reader_in_the_same_slot(self):
+        # R1 -rw-> U -rw-> T is acyclic.  R1 (slot 1) read x stale and
+        # committed at 7; R2 in the same slot never read x but committed at
+        # 9, after T overwrote U's read of z at 8.  U's sweep of x finds
+        # slot 1's bit and takes 9 as its pstamp, above its sstamp 8.
+        engine = Engine(4, SI, SSN, read_mostly_threshold=1,
+                        trace=TraceLog())
+        x, y, z = 0, 1, 2
+        for key in (x, y, z):
+            seed = engine.begin(0)
+            engine.write(seed, key)
+            engine.commit(seed)
+        for _ in range(3):
+            engine.clock.next()
+        u = engine.begin(0)
+        r1 = engine.begin(1, read_mostly=True)
+        engine.read(r1, x)
+        assert engine.commit(r1) == 7
+        engine.read(u, z)
+        t = engine.begin(2)
+        engine.write(t, z)
+        assert engine.commit(t) == 8
+        r2 = engine.begin(1, read_mostly=True)
+        engine.read(r2, y)
+        assert engine.commit(r2) == 9
+        engine.write(u, x)
+        engine.commit(u)
+        assert u.status == Status.COMMITTED
+        assert check_trace(engine.trace.merged()).clean
+
 
 class TestTableModes:
     def test_scan_then_insert_write_skew_is_caught(self):

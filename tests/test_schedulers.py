@@ -285,6 +285,26 @@ class TestPlainSchemes:
                 if e.kind == "abort"] == ["user"]
 
 
+@pytest.mark.parametrize("certifier", [NONE, SSN, SSI])
+def test_serial_commit_holds_the_engine_latch_through_pre_commit(certifier):
+    engine = Engine(2, SI, certifier, serial_commit=True)
+    pre_commit = engine.cert.pre_commit
+    held = []
+
+    def spy(ctx):
+        held.append(engine.latch.locked())
+        return pre_commit(ctx)
+
+    engine.cert.pre_commit = spy
+    ctx = engine.begin(0)
+    engine.read(ctx, 0)
+    engine.write(ctx, 1, "v")
+    engine.commit(ctx)
+    assert held == [True]
+    assert not engine.latch.locked()
+    assert Engine(2, SI, certifier).latch is None
+
+
 class TestFailureAtomicity:
     @pytest.mark.parametrize("serial", [False, True])
     def test_error_inside_pre_commit_rolls_back_and_frees_the_slot(
@@ -302,8 +322,7 @@ class TestFailureAtomicity:
         def explode(self, ctx):
             raise RuntimeError("injected")
 
-        name = "certify_serial" if serial else "certify_parallel"
-        monkeypatch.setattr(ExclusionCertifier, name, explode)
+        monkeypatch.setattr(ExclusionCertifier, "certify_parallel", explode)
         with pytest.raises(RuntimeError, match="injected"):
             engine.commit(ctx)
         monkeypatch.undo()
