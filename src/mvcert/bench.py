@@ -10,9 +10,11 @@ short writers in one run.
 
 Workers run closed-loop: after a commit (or a dropped abort) the next
 transaction starts immediately; in retry mode an aborted transaction is
-re-run with the same record sequence until it commits.  The per-thread
-operation stream is fully seed-determined, so a single-threaded run is
-bit-reproducible.
+re-run with the same record sequence until it commits.  With more than one
+worker, each yields the scheduler after every operation and at every
+transaction boundary, so transactions overlap operation by operation; a
+single worker never yields.  The per-thread operation stream is fully
+seed-determined, so a single-threaded run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ class WorkloadConfig:
     read_mostly_threshold: int = 0
     distinct_writes: bool = False
     emit_trace: bool = False
-    # Yield the scheduler after every operation, not just between
-    # transactions: models per-access latency, so transactions genuinely
-    # overlap op-by-op the way concurrent clients would.
-    op_latency: bool = False
 
     def validate(self) -> None:
         if self.db_size < 1:
@@ -186,8 +184,10 @@ def _run_worker(engine: Engine, slot: int, group: ClientGroup,
                 commit_counter: AtomicCell, failure: list) -> None:
     rng = random.Random((config.seed << 16) ^ slot)
     multi = sum(g.threads for g in config.groups) > 1
+    # Yield after every operation, not just between transactions: models
+    # per-access latency, so transactions genuinely overlap op-by-op the
+    # way concurrent clients would.  A lone worker has nobody to yield to.
     pause = time.sleep if multi else (lambda _: None)
-    op_pause = pause if config.op_latency else (lambda _: None)
     try:
         for _ in range(config.txns_per_thread):
             reads, writes = _sample_program(rng, group, config.db_size,
@@ -209,10 +209,10 @@ def _run_worker(engine: Engine, slot: int, group: ClientGroup,
                 try:
                     for key in reads:
                         engine.read(ctx, key)
-                        op_pause(0)
+                        pause(0)
                     for key in writes:
                         engine.write(ctx, key)
-                        op_pause(0)
+                        pause(0)
                     engine.commit(ctx)
                 except TransactionAborted as aborted:
                     stats.tracked_reads += ctx.tracked_reads

@@ -43,9 +43,10 @@ sstamp, and the window test.
 SSN also owns the active safe snapshot (a published stamp that acts as a
 reader of every record, folded into overwriters' pstamp), the read-only
 commit-stamp rule (empty write set under SI commits at its snapshot time),
-the stale-read filter for read-mostly transactions plus the sstamp handshake
-that lets updaters push their watermark into untracked readers, and the
-table pstamp that table scans raise and table updates fold in.
+the untracked-read filter for read-mostly transactions (stale reads, and
+every read after a table scan) plus the sstamp handshake that lets updaters
+push their watermark into untracked readers, and the table pstamp that table
+scans raise and table updates fold in.
 
 SSI keeps one conflict flag pair per transaction instead of full conflict
 lists, which admits false positives but must never miss a cycle.  Three
@@ -54,7 +55,8 @@ flag from reader bitmaps and access stamps; readers push the inbound flag
 into a live overwriter the moment they read under its uncommitted write; and
 a reader that finds its version overwritten by an already-committed pivot
 (both flags, partner first) aborts itself, because the pivot can no longer
-be stopped.
+be stopped.  Beyond the flags, SSI keeps only the set of versions that
+committed pivots overwrote.
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ from .kernel import (
     word_value,
 )
 from .store import Store, VersionMeta
-
-_UPDATE_MODES = frozenset((TableMode.IW, TableMode.W))
-_SCAN_MODES = frozenset((TableMode.R, TableMode.IR))
 
 
 def overwriter_outcome(table: TransactionTable, version: VersionMeta,
@@ -148,8 +147,8 @@ class ExclusionCertifier(Certifier):
     """SSN: the pstamp/sstamp bookkeeping and the commit check.
 
     observe notes violations in ctx.observed_violation instead of aborting;
-    reads by read-mostly transactions of versions more than threshold ticks
-    older than the clock go untracked (threshold 0 tracks every read).
+    a read-mostly transaction's reads go untracked after a scan, or when the
+    version is more than threshold ticks older than the clock (0: never).
     """
 
     def __init__(self, clock: GlobalClock, table: TransactionTable,
@@ -192,7 +191,7 @@ class ExclusionCertifier(Certifier):
     # ---------------- forward-processing hooks ----------------
 
     def on_read(self, ctx: TransactionContext, version: VersionMeta,
-                cstamp: int, *, force_untracked: bool = False) -> str | None:
+                cstamp: int) -> str | None:
         """Dependency bookkeeping for one committed, visible version.
 
         The reader's bit goes up first, before the overwrite claim is
@@ -200,13 +199,13 @@ class ExclusionCertifier(Certifier):
         read sees.  The read folds the creator's stamp into pstamp.  If the
         version is already overwritten by a committed transaction the
         overwriter's successor watermark folds into sstamp; otherwise the
-        version joins the read set for re-checking at pre-commit, unless it
-        is stale under the read-mostly policy (a read-mostly transaction's
-        read of a version more than threshold ticks older than the clock;
-        stale reads stay out of the read set but still leave the reader bit
-        and the pstamp fold behind).  The window test after the folds is
-        advisory: stamps may still move, the binding check happens at
-        pre-commit.
+        version joins the read set for re-checking at pre-commit, unless a
+        read-mostly transaction makes the read untracked: either the version
+        is more than threshold ticks older than the clock, or the
+        transaction is in table mode R (it scanned).  Untracked reads stay
+        out of the read set but still leave the reader bit and the pstamp
+        fold behind.  The window test after the folds is advisory: stamps
+        may still move, the binding check happens at pre-commit.
         """
         if ctx.snapshot_mode:
             return None
@@ -218,9 +217,9 @@ class ExclusionCertifier(Certifier):
             # No committed overwrite yet (an in-flight overwriter counts as
             # none; pre-commit resolves it through the transaction table).
             threshold = self.threshold
-            if force_untracked or (
-                    ctx.read_mostly and threshold
-                    and self.clock.current() - cstamp > threshold):
+            if ctx.read_mostly and (
+                    (threshold and self.clock.current() - cstamp > threshold)
+                    or TableMode.R in ctx.table_modes):
                 ctx.untracked_reads += 1
             else:
                 ctx.reads[version] = None
@@ -369,7 +368,7 @@ class ExclusionCertifier(Certifier):
         ctx.pstamp = pstamp
         if handshake_failed:
             return "ssn_exclusion"
-        if ctx.table_modes & _UPDATE_MODES:
+        if TableMode.W in ctx.table_modes:
             # Table updates inherit every committed scan as a predecessor.
             pstamp = max(pstamp, self.store.table_pstamp.load())
             ctx.pstamp = pstamp
@@ -394,7 +393,7 @@ class ExclusionCertifier(Certifier):
             return
         if ctx.read_mostly:
             self.table.record_commit_stamp(ctx.slot, ctx.cstamp)
-        if ctx.table_modes & _SCAN_MODES:
+        if TableMode.R in ctx.table_modes:
             self.store.table_pstamp.fold_max(ctx.cstamp)
 
 
@@ -433,17 +432,17 @@ class SsiState:
 class SsiCertifier(Certifier):
     """Two-flag dangerous-structure certification, on SI only.
 
-    Each transaction carries an SsiState in ctx.ssi.  A committer marks every
-    version it overwrote with its commit stamp and whether it committed as a
-    pivot; the marks live in self.marks, keyed by the overwritten version,
-    and are written before the version's sstamp turns final, so a reader
-    that finds a final sstamp always finds the mark.
+    Each transaction carries an SsiState in ctx.ssi.  A version's final
+    sstamp is its overwriter's commit stamp (only the base pre-commit folds
+    one).  pivot_overwrites holds the versions committed pivots overwrote; a
+    committer updates it before its versions' sstamps turn final, so a reader
+    that finds a final sstamp also finds whether the overwriter was a pivot.
     """
 
     def __init__(self, clock: GlobalClock, table: TransactionTable,
                  store: Store):
         super().__init__(clock, table, store)
-        self.marks = {}
+        self.pivot_overwrites = set()
 
     def begin(self, ctx: TransactionContext) -> None:
         ctx.ssi = SsiState()
@@ -452,12 +451,12 @@ class SsiCertifier(Certifier):
                 cstamp: int) -> str | None:
         self.store.register_reader(version, ctx.slot)
         # ctx has drawn no commit stamp, so a live overwriter is "pending".
-        kind, peer = overwriter_outcome(self.table, version, ctx)
+        kind, value = overwriter_outcome(self.table, version, ctx)
         if kind == "final":
-            return self._committed_overwrite(ctx, version)
+            return self._committed_overwrite(ctx, version, value)
         if kind == "pending":
             # Mark before tracking: a reader this aborts clears no bit here.
-            if self._mark_inbound(ctx, peer):
+            if self._mark_inbound(ctx, value):
                 return "ssi_dangerous"
             ctx.ssi.out_rw = True
         ctx.reads[version] = None
@@ -477,10 +476,9 @@ class SsiCertifier(Certifier):
         return bool(seen & DECIDED) and peer.ssi.committed_pivot(peer.cstamp)
 
     def _committed_overwrite(self, ctx: TransactionContext,
-                             version: VersionMeta) -> str | None:
-        overwriter_cstamp, pivot = self.marks[version]
-        ctx.ssi.fold_partner(overwriter_cstamp)
-        if pivot:
+                             version: VersionMeta, word: int) -> str | None:
+        ctx.ssi.fold_partner(word_value(word))
+        if version in self.pivot_overwrites:
             # The overwriter is a committed pivot; this read closes the
             # structure and the reader is the only one left to stop.
             return "ssi_dangerous"
@@ -500,7 +498,7 @@ class SsiCertifier(Certifier):
         for version in ctx.reads:
             kind, value = overwriter_outcome(self.table, version, ctx)
             if kind == "final":
-                cause = self._committed_overwrite(ctx, version)
+                cause = self._committed_overwrite(ctx, version, value)
                 if cause is not None:
                     return cause
             elif kind == "committed":
@@ -516,7 +514,10 @@ class SsiCertifier(Certifier):
         pivot = ssi.committed_pivot(cstamp)
         if decision & IN_RW and pivot and not ctx.read_only:
             return "ssi_dangerous"
-        mark = (cstamp, pivot)
+        # A non-pivot discards: a pivot rolled back after this hook left its
+        # versions in the set, and their next overwriter decides again.
+        mark = (self.pivot_overwrites.add if pivot
+                else self.pivot_overwrites.discard)
         for version in ctx.writes:
-            self.marks[version.prev] = mark
+            mark(version.prev)
         return None

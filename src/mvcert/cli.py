@@ -95,8 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--certifier",
                         choices=[c.value for c in CertifierMode],
                         default="ssn")
-    replay.add_argument("--commit-path", choices=["serial", "parallel"],
-                        default="serial")
     replay.add_argument("--emit-trace", metavar="PATH")
 
     enum = sub.add_parser(
@@ -146,9 +144,8 @@ def _cmd_check(args) -> int:
 def _cmd_replay(args) -> int:
     with open(args.script) as handle:
         steps = parse_script(handle.read())
-    result = replay_scripted(
-        steps, Scheme(args.scheme), CertifierMode(args.certifier),
-        serial=args.commit_path == "serial")
+    result = replay_scripted(steps, Scheme(args.scheme),
+                             CertifierMode(args.certifier))
     for label in sorted(result.outcomes):
         outcome = result.outcomes[label]
         if outcome[0] == "committed":

@@ -203,11 +203,10 @@ class Scheme(Enum):
 
 
 class TableMode(Enum):
-    """Declared table-granularity access modes for scan/update stamping."""
+    """Declared table-granularity access modes: a scan (R) raises the table
+    pstamp at commit, a table update or insert (W) folds it in."""
 
     R = "r"
-    IR = "ir"
-    IW = "iw"
     W = "w"
 
 

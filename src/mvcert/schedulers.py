@@ -40,11 +40,7 @@ from .kernel import (
     UsageError, transition_status,
 )
 from .store import Store, WriteConflict
-from .trace import ABORT_REASONS, TraceLog
-
-
-class NotFound(LookupError):
-    """Only the initial invalid version is visible and data was required."""
+from .trace import TraceLog
 
 
 class CertifierMode(Enum):
@@ -99,12 +95,10 @@ class Engine:
             self.trace.begin(tid, slot)
         return ctx
 
-    def abort(self, ctx: TransactionContext, reason: str = "user") -> None:
+    def abort(self, ctx: TransactionContext) -> None:
         """User-requested abort; conflict paths raise instead."""
         self._require_inflight(ctx)
-        if reason not in ABORT_REASONS:
-            raise UsageError("unknown abort reason %r" % (reason,))
-        self._abort_cleanup(ctx, reason, INFLIGHT)
+        self._abort_cleanup(ctx, "user", INFLIGHT)
 
     def _abort_cleanup(self, ctx, reason, from_status) -> None:
         """Abort ctx and undo its effects; reason None writes no trace line."""
@@ -130,14 +124,11 @@ class Engine:
 
     # ---------------- forward processing ----------------
 
-    def read(self, ctx: TransactionContext, key: int, *,
-             require_data: bool = False):
+    def read(self, ctx: TransactionContext, key: int):
         if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
         store = self.store
         version = store.visible_version(ctx, store.records[key])
-        if require_data and version.payload is None:
-            raise NotFound("record %r holds no visible data" % (key,))
         own = version.creator_tid == ctx.tid
         cstamp = 0 if own else store.creation_stamp(version)
         if self.trace is not None:
@@ -175,32 +166,18 @@ class Engine:
     def scan(self, ctx: TransactionContext) -> list:
         """Full-table scan under the table-granularity read mode.
 
-        Scan reads skip per-version tracking entirely: they leave reader
-        bits and fold stamps like stale reads, and the scan settles its
-        anti-dependencies through the table pstamp plus the read-mostly
-        handshake, so the transaction is flagged accordingly.
+        The scan flags the transaction read-mostly and in table mode R, so
+        from here on the certifier leaves its reads untracked, point reads
+        included: they leave reader bits and fold stamps like stale reads,
+        and the transaction settles its anti-dependencies through the table
+        pstamp plus the read-mostly handshake.
         """
         self._require_inflight(ctx)
         if self.certifier is not CertifierMode.SSN:
             raise UsageError("table scans need the ssn certifier")
         ctx.table_modes.add(TableMode.R)
         ctx.read_mostly = True
-        store = self.store
-        payloads = []
-        for key, record in enumerate(store.records):
-            version = store.visible_version(ctx, record)
-            own = version.creator_tid == ctx.tid
-            cstamp = 0 if own else store.creation_stamp(version)
-            if self.trace is not None:
-                self.trace.read(ctx.tid, ctx.slot, key,
-                                version.creator_tid, cstamp)
-            if not own:
-                cause = self.cert.on_read(ctx, version, cstamp,
-                                          force_untracked=True)
-                if cause is not None:
-                    self._fail(ctx, cause)
-            payloads.append(version.payload)
-        return payloads
+        return [self.read(ctx, key) for key in range(len(self.store.records))]
 
     def declare_table_mode(self, ctx: TransactionContext, *modes) -> None:
         self._require_inflight(ctx)

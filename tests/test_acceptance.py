@@ -25,7 +25,7 @@ SI, RC = Scheme.SI, Scheme.RC
 SSN, SSI, NONE = CertifierMode.SSN, CertifierMode.SSI, CertifierMode.NONE
 
 CONTENTIOUS = dict(db_size=100, groups=[ClientGroup(8, 8, 12, 3)],
-                   txns_per_thread=1250, retry=True, op_latency=True,
+                   txns_per_thread=1250, retry=True,
                    emit_trace=True)
 
 TRIPTYCH_PREFIX = """
@@ -293,7 +293,7 @@ def test_criterion_07_write_intensity_trend():
             config = WorkloadConfig(
                 db_size=1000, groups=[ClientGroup(8, 20, 20, 20)],
                 txns_per_thread=400, seed=seed, scheme=scheme,
-                certifier=SSN, retry=False, op_latency=True)
+                certifier=SSN, retry=False)
             stats, _ = run_bench(config)
             rates.append(stats.committed / stats.offered)
         completion[scheme] = statistics.mean(rates)
@@ -317,7 +317,7 @@ def test_criterion_08_safe_snapshot_trend():
                         ClientGroup(2, 8, 12, 0, read_only=True)],
                 txns_per_thread=400, seed=seed, scheme=SI, certifier=SSN,
                 retry=True, safe_snapshot_interval=interval,
-                op_latency=True, emit_trace=True)
+                emit_trace=True)
             stats, events = run_bench(config)
             assert check_trace(events).clean, (
                 "snapshot run leaked sccs at interval %d" % interval)

@@ -160,6 +160,19 @@ class TestCli:
         assert main(["check", str(trace_path)]) == 0
         assert "sccs=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("certifier, verdict", [("none", 2), ("ssn", 0)])
+    def test_contended_threads_make_cycles_only_without_a_certifier(
+            self, certifier, verdict, tmp_path, capsys):
+        # Multi-worker runs yield after every operation, so four threads on
+        # twenty records overlap enough for the bare scheme to close cycles.
+        trace_path = tmp_path / "run.trace"
+        assert main(["bench", "--db", "20", "--threads", "4",
+                     "--footprint", "4:6", "--writes", "2", "--txns", "200",
+                     "--certifier", certifier,
+                     "--emit-trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(trace_path)]) == verdict
+
     def test_check_flags_write_skew_with_exit_2(self, tmp_path, capsys):
         result = replay_scripted(
             "T1 read X\nT2 read Y\nT1 write Y\nT2 write X\n"

@@ -430,8 +430,8 @@ class TestTableModes:
         t2 = engine.begin(1)
         engine.scan(t1)
         engine.scan(t2)
-        engine.declare_table_mode(t1, TableMode.IW, TableMode.W)
-        engine.declare_table_mode(t2, TableMode.IW, TableMode.W)
+        engine.declare_table_mode(t1, TableMode.W)
+        engine.declare_table_mode(t2, TableMode.W)
         engine.write(t1, 0, "ins-a")
         engine.write(t2, 1, "ins-b")
         engine.commit(t1)
@@ -446,6 +446,17 @@ class TestTableModes:
         engine.commit(scanner)
         assert scanner.status == Status.COMMITTED
         assert engine.store.table_pstamp.load() == scanner.cstamp
+
+    def test_point_read_after_a_scan_is_untracked(self):
+        engine = Engine(4, SI, SSN, read_mostly_threshold=0)
+        seed = engine.begin(0)
+        engine.write(seed, 0, "x")
+        engine.commit(seed)
+        scanner = engine.begin(1)
+        engine.scan(scanner)
+        engine.read(scanner, 0)
+        assert not scanner.reads
+        assert scanner.untracked_reads == 5        # four scanned, one point
 
     @pytest.mark.parametrize("serial", [True, False])
     def test_scan_reads_reach_a_later_updater(self, serial):
@@ -469,7 +480,7 @@ class TestTableModes:
     def test_point_update_without_scans_sees_zero_table_pstamp(self):
         engine = Engine(4, SI, SSN)
         writer = engine.begin(0)
-        engine.declare_table_mode(writer, TableMode.IW, TableMode.W)
+        engine.declare_table_mode(writer, TableMode.W)
         engine.write(writer, 2, "v")
         engine.commit(writer)
         assert engine.store.table_pstamp.load() == 0
@@ -480,7 +491,7 @@ class TestTableModes:
         engine.scan(scanner)
         engine.commit(scanner)
         inserter = engine.begin(1)
-        engine.declare_table_mode(inserter, TableMode.IW, TableMode.W)
+        engine.declare_table_mode(inserter, TableMode.W)
         engine.write(inserter, 3, "row")
         engine.commit(inserter)
         assert inserter.pstamp >= scanner.cstamp

@@ -221,6 +221,12 @@ class TestSsiCertifier:
             engine.read(tail, 1)        # reads b0 under the committed pivot
         assert failure.value.reason == "ssi_dangerous"
 
+    def test_no_pivot_leaves_no_overwrite_mark(self):
+        # T1 overwrites Y and commits with no committed outbound partner
+        result = replay_scripted(WRITE_SKEW, SI, SSI)
+        assert outcomes(result) == {"T1": "committed", "T2": "aborted"}
+        assert result.engine.cert.pivot_overwrites == set()
+
     def test_ssi_runs_are_serializable_under_contention(self):
         config = WorkloadConfig(
             db_size=40, groups=[ClientGroup(6, 6, 10, 3)],
@@ -272,17 +278,6 @@ class TestPlainSchemes:
         assert engine.read(fresh, 0) is None
         events = engine.trace.merged()
         assert [e.kind for e in events if e.tid == ctx.tid][-1] == "abort"
-
-    def test_user_abort_refuses_a_reason_the_trace_cannot_carry(self):
-        engine = Engine(2, SI, NONE, trace=TraceLog())
-        ctx = engine.begin(0)
-        engine.write(ctx, 0, "kept")
-        with pytest.raises(UsageError, match="unknown abort reason 'bogus'"):
-            engine.abort(ctx, "bogus")
-        assert ctx.status == Status.INFLIGHT
-        engine.abort(ctx, "user")
-        assert [e.reason for e in engine.trace.merged()
-                if e.kind == "abort"] == ["user"]
 
 
 @pytest.mark.parametrize("certifier", [NONE, SSN, SSI])

@@ -7,7 +7,6 @@ from mvcert.kernel import (
     INFINITY, TID_TAG, Scheme, Status, TransactionContext, TransactionTable,
     is_tid, transition_status, word_value,
 )
-from mvcert.schedulers import NotFound
 from mvcert.store import Store, VersionMeta, WriteConflict
 from mvcert import CertifierMode, ClientGroup, Engine, WorkloadConfig, run_bench
 
@@ -56,8 +55,6 @@ class TestInitialState:
         engine = Engine(4)
         ctx = engine.begin(0)
         assert engine.read(ctx, 3) is None
-        with pytest.raises(NotFound, match="record 3 holds no visible data"):
-            engine.read(ctx, 3, require_data=True)
 
 
 class TestVisibility:
