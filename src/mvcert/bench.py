@@ -164,8 +164,25 @@ class RunStats:
 
 def _sample_program(rng: random.Random, group: ClientGroup, db_size: int,
                     distinct_writes: bool):
-    size = rng.randint(group.footprint_min, group.footprint_max)
-    records = [rng.randrange(db_size) for _ in range(size)]
+    """The keys a program reads and writes: the draws of rng.randint and
+    rng.randrange, with CPython's Random._randbelow_with_getrandbits
+    inlined (getrandbits(n.bit_length()) until below n) to save two calls
+    per key."""
+    getrandbits = rng.getrandbits
+    low = group.footprint_min
+    width = group.footprint_max - low + 1
+    k = width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    size = low + r
+    k = db_size.bit_length()
+    records = []
+    for _ in range(size):
+        r = getrandbits(k)
+        while r >= db_size:
+            r = getrandbits(k)
+        records.append(r)
     m = group.writes_per_txn
     reads, writes = records[:size - m], records[size - m:]
     if distinct_writes and m:
@@ -173,9 +190,9 @@ def _sample_program(rng: random.Random, group: ClientGroup, db_size: int,
         if db_size > len(forbidden):
             writes = []
             while len(writes) < m:
-                key = rng.randrange(db_size)
-                if key not in forbidden:
-                    writes.append(key)
+                r = getrandbits(k)
+                if r < db_size and r not in forbidden:
+                    writes.append(r)
     return reads, writes
 
 
@@ -183,11 +200,11 @@ def _run_worker(engine: Engine, slot: int, group: ClientGroup,
                 stats: GroupStats, config: WorkloadConfig,
                 commit_counter: AtomicCell, failure: list) -> None:
     rng = random.Random((config.seed << 16) ^ slot)
-    multi = sum(g.threads for g in config.groups) > 1
     # Yield after every operation, not just between transactions: models
     # per-access latency, so transactions genuinely overlap op-by-op the
-    # way concurrent clients would.  A lone worker has nobody to yield to.
-    pause = time.sleep if multi else (lambda _: None)
+    # way concurrent clients would.  A lone worker has nobody to yield to,
+    # so it makes no call at all.
+    multi = sum(g.threads for g in config.groups) > 1
     try:
         for _ in range(config.txns_per_thread):
             reads, writes = _sample_program(rng, group, config.db_size,
@@ -196,7 +213,8 @@ def _run_worker(engine: Engine, slot: int, group: ClientGroup,
             # Yield at the transaction boundary: a thread preempted here
             # holds no uncommitted versions, which keeps the write-write
             # exposure of a paused worker close to a real parallel run.
-            pause(0)
+            if multi:
+                time.sleep(0)
             attempts = 0
             while True:
                 attempts += 1
@@ -209,10 +227,12 @@ def _run_worker(engine: Engine, slot: int, group: ClientGroup,
                 try:
                     for key in reads:
                         engine.read(ctx, key)
-                        pause(0)
+                        if multi:
+                            time.sleep(0)
                     for key in writes:
                         engine.write(ctx, key)
-                        pause(0)
+                        if multi:
+                            time.sleep(0)
                     engine.commit(ctx)
                 except TransactionAborted as aborted:
                     stats.tracked_reads += ctx.tracked_reads

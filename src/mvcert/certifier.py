@@ -194,22 +194,26 @@ class ExclusionCertifier(Certifier):
                 cstamp: int) -> str | None:
         """Dependency bookkeeping for one committed, visible version.
 
-        The reader's bit goes up first, before the overwrite claim is
-        loaded, so an overwriter either finds the bit or leaves a claim this
-        read sees.  The read folds the creator's stamp into pstamp.  If the
-        version is already overwritten by a committed transaction the
-        overwriter's successor watermark folds into sstamp; otherwise the
-        version joins the read set for re-checking at pre-commit, unless a
-        read-mostly transaction makes the read untracked: either the version
-        is more than threshold ticks older than the clock, or the
-        transaction is in table mode R (it scanned).  Untracked reads stay
-        out of the read set but still leave the reader bit and the pstamp
-        fold behind.  The window test after the folds is advisory: stamps
-        may still move, the binding check happens at pre-commit.
+        A read-mostly transaction's bit goes up first, before the overwrite
+        claim is loaded, so an overwriter either finds the bit, for the
+        handshake, or leaves a claim this read sees.  Other transactions set
+        their bits at pre-commit (acquire_commit_stamp): the reader sweep
+        does nothing with them while they are in flight.  The read folds
+        the creator's stamp into pstamp.  If the version is already
+        overwritten by a committed transaction the overwriter's successor
+        watermark folds into sstamp; otherwise the version joins the read
+        set for re-checking at pre-commit, unless a read-mostly transaction
+        makes the read untracked: either the version is more than threshold
+        ticks older than the clock, or the transaction is in table mode R
+        (it scanned).  Untracked reads stay out of the read set but still
+        leave the reader bit and the pstamp fold behind.  The window test
+        after the folds is advisory: stamps may still move, the binding
+        check happens at pre-commit.
         """
         if ctx.snapshot_mode:
             return None
-        self.store.register_reader(version, ctx.slot)
+        read_mostly = ctx.read_mostly
+        raised = read_mostly and self.store.register_reader(version, ctx.slot)
         if cstamp > ctx.pstamp:
             ctx.pstamp = cstamp
         word = version.sstamp
@@ -217,12 +221,12 @@ class ExclusionCertifier(Certifier):
             # No committed overwrite yet (an in-flight overwriter counts as
             # none; pre-commit resolves it through the transaction table).
             threshold = self.threshold
-            if ctx.read_mostly and (
+            if read_mostly and (
                     (threshold and self.clock.current() - cstamp > threshold)
                     or TableMode.R in ctx.table_modes):
                 ctx.untracked_reads += 1
             else:
-                ctx.reads[version] = None
+                ctx.reads.setdefault(version, raised)
         else:
             ctx.fold_sstamp(word & VALUE_MASK)
         if ctx.sstamp & VALUE_MASK <= ctx.pstamp:
@@ -268,8 +272,14 @@ class ExclusionCertifier(Certifier):
         return cause
 
     def acquire_commit_stamp(self, ctx: TransactionContext) -> None:
-        """COMMITTING transition, then the stamp draw; order is mandatory.
-        The stamp then caps sstamp: no successor watermark exceeds it.
+        """COMMITTING transition, reader bits, then the stamp draw; the order
+        is mandatory.  The stamp then caps sstamp: no successor watermark
+        exceeds it.
+
+        The read set's bits go up in one batch, before the reuse check and
+        the draw: an overwriter that draws a later stamp sweeps after the
+        batch and folds this stamp; one that drew earlier installed its
+        claim before, and certify_parallel resolves it.
 
         A transaction with an empty write set under SI reuses its snapshot
         time, which keeps access stamps low for the updaters it precedes.
@@ -281,6 +291,8 @@ class ExclusionCertifier(Certifier):
         pre-commit certifies.
         """
         transition_status(ctx, INFLIGHT, COMMITTING)
+        if ctx.reads:
+            self.store.register_readers(ctx.reads, ctx.slot)
         if (not ctx.writes and ctx.scheme is Scheme.SI
                 and ctx.begin_stamp > 0 and ctx.untracked_reads == 0
                 and all(v.sstamp == INFINITY for v in ctx.reads)):
@@ -449,7 +461,9 @@ class SsiCertifier(Certifier):
 
     def on_read(self, ctx: TransactionContext, version: VersionMeta,
                 cstamp: int) -> str | None:
-        self.store.register_reader(version, ctx.slot)
+        # Eager: a writer collects the inbound flag from the bit while this
+        # reader is in flight.
+        raised = self.store.register_reader(version, ctx.slot)
         # ctx has drawn no commit stamp, so a live overwriter is "pending".
         kind, value = overwriter_outcome(self.table, version, ctx)
         if kind == "final":
@@ -459,7 +473,7 @@ class SsiCertifier(Certifier):
             if self._mark_inbound(ctx, value):
                 return "ssi_dangerous"
             ctx.ssi.out_rw = True
-        ctx.reads[version] = None
+        ctx.reads.setdefault(version, raised)
         return None
 
     def _mark_inbound(self, ctx: TransactionContext,

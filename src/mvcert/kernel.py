@@ -219,7 +219,8 @@ class TransactionContext:
     methods below, under RMW_LOCK; cstamp is only ever stored.  writes is
     the engine's write set, an insertion-ordered dict from each installed
     version to its record; reads is the certifier's read set (the bare
-    scheme keeps none), an insertion-ordered dict used as a set.  ssi holds
+    scheme keeps none), an insertion-ordered dict from each tracked version
+    to whether this transaction raised its reader bit.  ssi holds
     the SSI certifier's flags, whose inbound cell peers may set.
     """
 

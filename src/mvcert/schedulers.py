@@ -114,7 +114,9 @@ class Engine:
         raise TransactionAborted(reason)
 
     def _clear_reader_bits(self, ctx) -> None:
-        # Untracked reads deliberately never clear their bits.
+        # Only the tracked reads' bits that ctx raised itself: untracked reads
+        # deliberately keep theirs, and so do bits an earlier transaction in
+        # the slot left up.
         if ctx.reads:
             self.store.clear_readers(ctx.reads, ctx.slot)
 

@@ -17,11 +17,13 @@ A version's stamps and reader bitmap are plain slots, like a transaction's
 words: loads and stores are attribute accesses, atomic under the GIL.  Their
 read-modify-writes run under kernel.RMW_LOCK, the lock every AtomicCell
 shares: the sstamp claim and its restore (VersionMeta.swap_sstamp), setting
-a reader bit (Store.register_reader), and two batches that take the lock
-once per transaction, not once per version: a committer's pstamp raise over
-its whole read set (Store.finalize_commit) and clearing its reader bits
-(Store.clear_readers).  A record is itself the AtomicCell that holds the
-newest version of its chain; the table pstamp is the store's other cell.
+one reader bit at read time (Store.register_reader), and three batches that
+take the lock once per transaction, not once per version: setting the reader
+bits of a whole read set at commit (Store.register_readers), a committer's
+pstamp raise over its read set (Store.finalize_commit) and clearing the
+reader bits it raised (Store.clear_readers).  A record is itself the
+AtomicCell that holds the newest version of its chain; the table pstamp is
+the store's other cell.
 
 Nothing in the store points back up: a version links only to its
 predecessor, and a transaction's write set maps each version it installed
@@ -31,9 +33,10 @@ counting frees a dropped engine, or a cut chain tail, without the cyclic
 collector.
 
 The store keeps no certifier state beyond these words.  A reader bit goes up
-only when a certifier registers the read, and finalize_commit raises the
-access stamps of the committer's read set, which the bare scheme leaves
-empty.
+only when a certifier registers the read, at read time or in the commit
+batch; a read set maps each version to whether its owner raised the bit.
+finalize_commit raises the access stamps of the committer's read set, which
+the bare scheme leaves empty.
 """
 
 from __future__ import annotations
@@ -217,16 +220,35 @@ class Store:
         assert swapped, "overwritten head carried a foreign overwriter tid"
         return version
 
-    def register_reader(self, version: VersionMeta, slot: int) -> None:
+    def register_reader(self, version: VersionMeta, slot: int) -> bool:
+        """Set slot's reader bit; True when this call raised it."""
+        bit = 1 << slot
         with RMW_LOCK:
-            version.readers |= 1 << slot
+            bits = version.readers
+            version.readers = bits | bit
+        return not bits & bit
 
-    def clear_readers(self, versions, slot: int) -> None:
-        """Clear slot's bit in every version's reader bitmap, in one lock."""
+    def register_readers(self, reads: dict, slot: int) -> None:
+        """Set slot's bit on every version of a read set, in one lock, and
+        mark True each entry whose bit this call raised."""
+        bit = 1 << slot
+        with RMW_LOCK:
+            for version in reads:
+                bits = version.readers
+                if not bits & bit:
+                    version.readers = bits | bit
+                    reads[version] = True
+
+    def clear_readers(self, reads: dict, slot: int) -> None:
+        """Clear slot's bit on each version of a read set whose entry is
+        True, in one lock.  A bit the transaction found up belongs to an
+        earlier transaction in the slot, such as an untracked read, and
+        stays."""
         keep = ~(1 << slot)
         with RMW_LOCK:
-            for version in versions:
-                version.readers &= keep
+            for version, raised in reads.items():
+                if raised:
+                    version.readers &= keep
 
     def finalize_commit(self, ctx: TransactionContext) -> None:
         """Post-commit stamp propagation for a committed transaction.

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from mvcert import (
     CertifierMode, ClientGroup, Scheme, TraceLog, WorkloadConfig, check_trace,
     parse_script, replay_scripted, run_bench, write_trace,
 )
+from mvcert.bench import _sample_program
 from mvcert.cli import main
 from mvcert.kernel import VALUE_MASK, TransactionAborted
 from mvcert.schedulers import Engine
@@ -69,7 +71,40 @@ class TestValidation:
             config(**overrides).validate()
 
 
+def _reference_program(rng, group, db_size, distinct_writes):
+    """_sample_program written with rng.randint and rng.randrange."""
+    size = rng.randint(group.footprint_min, group.footprint_max)
+    records = [rng.randrange(db_size) for _ in range(size)]
+    m = group.writes_per_txn
+    reads, writes = records[:size - m], records[size - m:]
+    if distinct_writes and m:
+        forbidden = set(reads)
+        if db_size > len(forbidden):
+            writes = []
+            while len(writes) < m:
+                key = rng.randrange(db_size)
+                if key not in forbidden:
+                    writes.append(key)
+    return reads, writes
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("distinct_writes", [False, True])
+    @pytest.mark.parametrize("db_size", [1, 2, 64, 1000, 100_000])
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_sampler_draws_what_randint_and_randrange_draw(
+            self, width, db_size, distinct_writes):
+        # The inlined draws must keep every seeded workload as it was; a
+        # Python whose randrange draws differently fails here.
+        group = ClientGroup(1, 2, 1 + width, 2)
+        for seed in range(200):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert (_sample_program(fast, group, db_size, distinct_writes)
+                        == _reference_program(slow, group, db_size,
+                                              distinct_writes))
+            assert fast.getstate() == slow.getstate()
+
     def test_single_thread_traces_are_bit_identical(self):
         first_stats, first_events = run_bench(config())
         second_stats, second_events = run_bench(config())

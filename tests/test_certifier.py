@@ -1,18 +1,22 @@
 """Certifier behavior: watermark folding, both commit paths, safe snapshots,
 the empty-write-set stamp rule, stale-read filtering, the sstamp handshake,
-and table-granularity stamp actions."""
+reader bits, and table-granularity stamp actions."""
+
+import threading
 
 import pytest
 
+import mvcert.certifier
 from mvcert import (
-    INFINITY, CertifierMode, Engine, Scheme, TransactionAborted,
-    build_graph, check_trace, find_violations, replay_scripted,
+    INFINITY, CertifierMode, Engine, ExclusionCertifier, GlobalClock, Scheme,
+    TransactionAborted, build_graph, check_trace, find_violations,
+    replay_scripted,
 )
 from mvcert.kernel import Status, TableMode, is_locked, word_value
 from mvcert.trace import TraceLog
 
 SI, RC = Scheme.SI, Scheme.RC
-SSN = CertifierMode.SSN
+SSN, SSI = CertifierMode.SSN, CertifierMode.SSI
 
 BASE_SCHEDULE = """
 T1 read B
@@ -421,6 +425,135 @@ class TestReadMostly:
         assert check_trace(engine.trace.merged()).clean
 
 
+class TestReaderBits:
+    """When reader bits go up and which ones a transaction clears."""
+
+    def _seeded(self, certifier=SSN):
+        engine = Engine(4, SI, certifier)
+        seed = engine.begin(0)
+        engine.write(seed, 0)
+        engine.write(seed, 1)
+        engine.commit(seed)
+        return engine, [engine.store.records[key].load() for key in (0, 1)]
+
+    def test_plain_reader_raises_its_bits_in_one_batch_before_the_draw(
+            self, monkeypatch):
+        engine, versions = self._seeded()
+        reader = engine.begin(1)
+        engine.read(reader, 0)
+        engine.read(reader, 1)
+        assert [v.readers for v in versions] == [0, 0]
+        engine.write(reader, 2)
+        seen = []
+        draw = GlobalClock.next
+
+        def spy(clock):
+            seen.append((reader.status, [v.readers for v in versions]))
+            return draw(clock)
+
+        monkeypatch.setattr(GlobalClock, "next", spy)
+        engine.commit(reader)
+        assert seen == [(Status.COMMITTING, [1 << 1, 1 << 1])]
+        assert [v.readers for v in versions] == [0, 0]
+
+    @pytest.mark.parametrize("certifier, read_mostly",
+                             [(SSN, True), (SSI, False)], ids=["rm", "ssi"])
+    def test_read_mostly_and_ssi_readers_raise_bits_at_read_time(
+            self, certifier, read_mostly):
+        engine, (version, _) = self._seeded(certifier)
+        reader = engine.begin(1, read_mostly=read_mostly)
+        engine.read(reader, 0)
+        assert version.readers == 1 << 1
+        engine.commit(reader)
+        assert version.readers == 0
+
+    @pytest.mark.parametrize("serial", [True, False])
+    @pytest.mark.parametrize("end", ["abort", "commit"])
+    def test_a_later_reader_in_the_slot_keeps_an_untracked_bit(
+            self, serial, end):
+        # R (slot 1) reads x stale, so untracked, and commits at 7; O reads
+        # R's overwrite of y, so O -rw-> R.  T, also in slot 1, reads x
+        # tracked and ends.  O's overwrite of x (R -rw-> O) must still find
+        # slot 1's bit, or O commits the cycle {R, O}.
+        engine = Engine(4, SI, SSN, serial_commit=serial,
+                        read_mostly_threshold=1, trace=TraceLog())
+        x, y = 0, 1
+        w = engine.begin(0)
+        engine.write(w, x)
+        engine.write(w, y)
+        engine.commit(w)
+        for _ in range(5):
+            engine.clock.next()
+        o = engine.begin(2)
+        r = engine.begin(1, read_mostly=True)
+        engine.read(r, x)
+        assert r.untracked_reads == 1
+        engine.write(r, y)
+        assert engine.commit(r) == 7
+        engine.read(o, y)
+        t = engine.begin(1)
+        engine.read(t, x)
+        assert t.tracked_reads == 1
+        if end == "abort":
+            engine.abort(t)
+        else:
+            engine.commit(t)
+        assert engine.store.records[x].load().readers == 1 << 1
+        with pytest.raises(TransactionAborted) as failure:
+            engine.write(o, x)
+            engine.commit(o)
+        assert failure.value.reason == "ssn_exclusion"
+        assert check_trace(engine.trace.merged()).clean
+
+    def test_later_overwriter_waits_for_a_reader_paused_after_its_draw(
+            self, monkeypatch):
+        # The reader's bit goes up in its commit batch; an overwriter that
+        # draws a later stamp must find it and wait out the reader's verdict.
+        engine, (version, _) = self._seeded()
+        reader = engine.begin(1)
+        engine.read(reader, 0)
+        engine.write(reader, 2)
+        drawn, release, waiting = (threading.Event(), threading.Event(),
+                                   threading.Event())
+        certify, settle = (ExclusionCertifier.certify_parallel,
+                           mvcert.certifier.settle)
+
+        def paused(cert, ctx):
+            if ctx is reader:
+                drawn.set()
+                release.wait(10)
+            return certify(cert, ctx)
+
+        def spy(peer, before):
+            if peer is reader:
+                waiting.set()
+            return settle(peer, before)
+
+        monkeypatch.setattr(ExclusionCertifier, "certify_parallel", paused)
+        monkeypatch.setattr(mvcert.certifier, "settle", spy)
+        reader_thread = threading.Thread(target=engine.commit, args=(reader,))
+        reader_thread.start()
+        try:
+            assert drawn.wait(10)
+            assert version.readers == 1 << 1
+            overwriter = engine.begin(2)
+            engine.write(overwriter, 0)
+            overwriter_thread = threading.Thread(target=engine.commit,
+                                                 args=(overwriter,))
+            overwriter_thread.start()
+            assert waiting.wait(10)
+            assert overwriter.status == Status.COMMITTING
+        finally:
+            release.set()
+            reader_thread.join(10)
+        overwriter_thread.join(10)
+        assert not reader_thread.is_alive()
+        assert not overwriter_thread.is_alive()
+        assert reader.status == overwriter.status == Status.COMMITTED
+        assert overwriter.cstamp > reader.cstamp
+        assert overwriter.pstamp >= reader.cstamp
+
+
 class TestTableModes:
     def test_scan_then_insert_write_skew_is_caught(self):
         # two transactions scan the table and insert into records the other's
@@ -535,6 +668,7 @@ class TestParallelFinalization:
         engine.read(reader, 0)
         from mvcert.kernel import transition_status
         transition_status(reader, Status.INFLIGHT, Status.COMMITTING)
+        engine.store.register_readers(reader.reads, reader.slot)
         reader.cstamp = 10 ** 6                    # far in the future
         transition_status(reader, Status.COMMITTING, Status.COMMITTED)
         engine.commit(updater)

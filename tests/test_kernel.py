@@ -237,14 +237,20 @@ READ_MODIFY_WRITES = {
     "TransactionContext.swap_sstamp": (
         _ctx, lambda c: c.swap_sstamp(INFINITY, 5), _ctx_words),
     # The store's reader-bit and pstamp updates take the lock themselves;
-    # the two batches take it once for all their versions.
+    # the three batches take it once for all their versions.
     "Store.register_reader": (
         lambda: Store(2, TransactionTable()),
         lambda s: s.register_reader(s.records[0].load(), 2),
         _head_words),
+    "Store.register_readers": (
+        lambda: Store(2, TransactionTable()),
+        lambda s: s.register_readers(
+            dict.fromkeys([r.load() for r in s.records], False), 2),
+        _head_words),
     "Store.clear_readers": (
         _store_with_readers,
-        lambda s: s.clear_readers([r.load() for r in s.records], 2),
+        lambda s: s.clear_readers(
+            dict.fromkeys([r.load() for r in s.records], True), 2),
         _head_words),
     "Store.finalize_commit": (
         _committed_reader, lambda t: t[0].finalize_commit(t[1]),
