@@ -46,17 +46,19 @@ commit-stamp rule (empty write set under SI commits at its snapshot time),
 the untracked-read filter for read-mostly transactions (stale reads, and
 every read after a table scan) plus the sstamp handshake that lets updaters
 push their watermark into untracked readers, and the table pstamp that table
-scans raise and table updates fold in.
+scans raise and table updates fold in.  Reader bits mark only untracked
+reads and are never cleared; an overwriter finds tracked readers in the read
+sets of the transactions still in the table.
 
 SSI keeps one conflict flag pair per transaction instead of full conflict
 lists, which admits false positives but must never miss a cycle.  Three
 rules together cover every dangerous structure: writers collect the inbound
-flag from reader bitmaps and access stamps; readers push the inbound flag
-into a live overwriter the moment they read under its uncommitted write; and
-a reader that finds its version overwritten by an already-committed pivot
-(both flags, partner first) aborts itself, because the pivot can no longer
-be stopped.  Beyond the flags, SSI keeps only the set of versions that
-committed pivots overwrote.
+flag from the read sets of readers still in the table and from access
+stamps; readers push the inbound flag into a live overwriter the moment they
+read under its uncommitted write; and a reader that finds its version
+overwritten by an already-committed pivot (both flags, partner first) aborts
+itself, because the pivot can no longer be stopped.  Beyond the flags, SSI
+keeps only the set of versions that committed pivots overwrote.
 """
 
 from __future__ import annotations
@@ -194,39 +196,38 @@ class ExclusionCertifier(Certifier):
                 cstamp: int) -> str | None:
         """Dependency bookkeeping for one committed, visible version.
 
-        A read-mostly transaction's bit goes up first, before the overwrite
-        claim is loaded, so an overwriter either finds the bit, for the
-        handshake, or leaves a claim this read sees.  Other transactions set
-        their bits at pre-commit (acquire_commit_stamp): the reader sweep
-        does nothing with them while they are in flight.  The read folds
-        the creator's stamp into pstamp.  If the version is already
-        overwritten by a committed transaction the overwriter's successor
-        watermark folds into sstamp; otherwise the version joins the read
-        set for re-checking at pre-commit, unless a read-mostly transaction
-        makes the read untracked: either the version is more than threshold
-        ticks older than the clock, or the transaction is in table mode R
-        (it scanned).  Untracked reads stay out of the read set but still
-        leave the reader bit and the pstamp fold behind.  The window test
-        after the folds is advisory: stamps may still move, the binding
-        check happens at pre-commit.
+        The read folds the creator's stamp into pstamp.  If the version is
+        already overwritten by a committed transaction the overwriter's
+        successor watermark folds into sstamp; otherwise the version joins
+        the read set for re-checking at pre-commit, unless a read-mostly
+        transaction makes the read untracked: either the version is more
+        than threshold ticks older than the clock, or the transaction is in
+        table mode R (it scanned).  That is decided first, and an untracked
+        read of a version outside the read set sets its reader bit before
+        the overwrite claim is loaded, so an overwriter either finds the
+        bit, for the handshake, or leaves a claim this read sees.  Tracked
+        reads set no bit: overwriters find them through the transaction
+        table.  The window test after the folds is advisory: stamps may
+        still move, the binding check happens at pre-commit.
         """
         if ctx.snapshot_mode:
             return None
-        read_mostly = ctx.read_mostly
-        raised = read_mostly and self.store.register_reader(version, ctx.slot)
+        threshold = self.threshold
+        untracked = ctx.read_mostly and (
+            (threshold and self.clock.current() - cstamp > threshold)
+            or TableMode.R in ctx.table_modes)
+        if untracked and version not in ctx.reads:
+            self.store.register_reader(version, ctx.slot)
         if cstamp > ctx.pstamp:
             ctx.pstamp = cstamp
         word = version.sstamp
         if word == INFINITY or word & TID_TAG:
             # No committed overwrite yet (an in-flight overwriter counts as
             # none; pre-commit resolves it through the transaction table).
-            threshold = self.threshold
-            if read_mostly and (
-                    (threshold and self.clock.current() - cstamp > threshold)
-                    or TableMode.R in ctx.table_modes):
+            if untracked:
                 ctx.untracked_reads += 1
             else:
-                ctx.reads.setdefault(version, raised)
+                ctx.reads[version] = None
         else:
             ctx.fold_sstamp(word & VALUE_MASK)
         if ctx.sstamp & VALUE_MASK <= ctx.pstamp:
@@ -272,14 +273,9 @@ class ExclusionCertifier(Certifier):
         return cause
 
     def acquire_commit_stamp(self, ctx: TransactionContext) -> None:
-        """COMMITTING transition, reader bits, then the stamp draw; the order
-        is mandatory.  The stamp then caps sstamp: no successor watermark
-        exceeds it.
-
-        The read set's bits go up in one batch, before the reuse check and
-        the draw: an overwriter that draws a later stamp sweeps after the
-        batch and folds this stamp; one that drew earlier installed its
-        claim before, and certify_parallel resolves it.
+        """COMMITTING transition, then the stamp draw; the order is
+        mandatory (kernel.settle).  The stamp then caps sstamp: no successor
+        watermark exceeds it.
 
         A transaction with an empty write set under SI reuses its snapshot
         time, which keeps access stamps low for the updaters it precedes.
@@ -291,8 +287,6 @@ class ExclusionCertifier(Certifier):
         pre-commit certifies.
         """
         transition_status(ctx, INFLIGHT, COMMITTING)
-        if ctx.reads:
-            self.store.register_readers(ctx.reads, ctx.slot)
         if (not ctx.writes and ctx.scheme is Scheme.SI
                 and ctx.begin_stamp > 0 and ctx.untracked_reads == 0
                 and all(v.sstamp == INFINITY for v in ctx.reads)):
@@ -341,33 +335,38 @@ class ExclusionCertifier(Certifier):
     def _window_test(self, ctx: TransactionContext) -> str | None:
         """The tail of the commit check, once the read set is folded.
 
-        First the reader sweep: it walks the readers bitmap of each
-        overwritten predecessor.  The per-slot last commit stamp covers
+        First the reader sweep.  For each overwritten predecessor it visits
+        the slots whose bit an untracked read raised, and the slots whose
+        current transaction tracks the predecessor, less plain ones still in
+        flight: those draw a later stamp and meet this updater's claim in
+        their own certify_parallel.  The per-slot last commit stamp covers
         untracked readers that already left; a reader that committed below
         this commit stamp folds into pstamp (settle waits it out); an
         in-flight read-mostly reader, or one holding a later stamp, gets
         this updater's successor watermark pushed into its sstamp (the
-        handshake), unless it sealed first, which aborts the updater.
-        Re-reading the predecessor's access stamp at the end catches any
-        reader the bitmap walk missed.  Then table updates fold in the table
-        pstamp, a read-mostly transaction seals its sstamp, and the window
-        test decides.  Returns the abort cause, or None.
+        handshake), unless it sealed first, which aborts the updater.  The
+        final re-read of the predecessor's access stamp catches the readers
+        that left, which raised it before clearing their slots.  Then table
+        updates fold in the table pstamp, a read-mostly transaction seals
+        its sstamp, and the window test decides.  Returns the abort cause,
+        or None.
         """
         my_cstamp = ctx.cstamp
         pstamp = ctx.pstamp
         handshake_failed = False
+        table = self.table
         for version in ctx.writes:
             prev = version.prev
-            bits = prev.readers
+            bits = prev.readers | table.reader_slots(prev, False)
             while bits:
                 slot = (bits & -bits).bit_length() - 1
                 bits &= bits - 1
                 if slot == ctx.slot:
                     continue
-                last = self.table.last_cstamp(slot)
+                last = table.last_cstamp(slot)
                 if 0 < last < my_cstamp:
                     pstamp = max(pstamp, last)
-                reader = self.table.slots[slot].current
+                reader = table.slots[slot].current
                 if reader is None or reader is ctx:
                     continue
                 stamp = settle(reader, my_cstamp)
@@ -449,6 +448,10 @@ class SsiCertifier(Certifier):
     one).  pivot_overwrites holds the versions committed pivots overwrote; a
     committer updates it before its versions' sstamps turn final, so a reader
     that finds a final sstamp also finds whether the overwriter was a pivot.
+    SSI sets no reader bits: a reader joins the read set before it loads
+    the claim, and a writer claims before it looks for readers in the
+    table, so one of the two always sees the other.  A reader that left
+    the table raised the version's access stamp first.
     """
 
     def __init__(self, clock: GlobalClock, table: TransactionTable,
@@ -461,19 +464,21 @@ class SsiCertifier(Certifier):
 
     def on_read(self, ctx: TransactionContext, version: VersionMeta,
                 cstamp: int) -> str | None:
-        # Eager: a writer collects the inbound flag from the bit while this
-        # reader is in flight.
-        raised = self.store.register_reader(version, ctx.slot)
+        # Track before the claim is loaded: a writer whose claim the load
+        # misses finds this reader through the table (on_write).
+        reads = ctx.reads
+        fresh = version not in reads
+        reads[version] = None
         # ctx has drawn no commit stamp, so a live overwriter is "pending".
         kind, value = overwriter_outcome(self.table, version, ctx)
         if kind == "final":
+            if fresh:
+                del reads[version]
             return self._committed_overwrite(ctx, version, value)
         if kind == "pending":
-            # Mark before tracking: a reader this aborts clears no bit here.
             if self._mark_inbound(ctx, value):
                 return "ssi_dangerous"
             ctx.ssi.out_rw = True
-        ctx.reads.setdefault(version, raised)
         return None
 
     def _mark_inbound(self, ctx: TransactionContext,
@@ -501,8 +506,8 @@ class SsiCertifier(Certifier):
     def on_write(self, ctx: TransactionContext,
                  version: VersionMeta) -> str | None:
         prev = version.prev
-        foreign_bits = prev.readers & ~(1 << ctx.slot)
-        if foreign_bits or prev.pstamp > prev.committed_stamp():
+        readers = self.table.reader_slots(prev) & ~(1 << ctx.slot)
+        if readers or prev.pstamp > prev.committed_stamp():
             ctx.ssi.in_rw.fetch_or(IN_RW)
         return None
 

@@ -5,10 +5,10 @@ The concurrency contract is deliberately narrow: under CPython the GIL makes
 single-attribute loads and stores atomic, and one module-wide lock, RMW_LOCK,
 serializes every read-modify-write cycle of a cross-thread word; all waiting
 is bounded spinning.  Shared words are plain slots of the object that owns
-them: a transaction's status, cstamp and sstamp here, a version's stamps and
-reader bits in store.py.  Their read-modify-writes are methods of that owner
-that run under RMW_LOCK (the status compare-and-swap, the sstamp min-fold,
-the seal and the handshake's sstamp compare-and-swap for a transaction).
+them: a transaction's status, cstamp and sstamp and the table's top here, a
+version's stamps and reader bits in store.py.  Their read-modify-writes are
+methods of that owner that run under RMW_LOCK (a transaction's status CAS,
+sstamp min-fold, seal and handshake CAS, and the table's raise of top).
 AtomicCells (plain load/store plus locked fetch-add, fetch-or,
 compare-and-swap) remain only where a word stands alone: each record, which
 is the cell holding the newest version of its chain, the table pstamp, the
@@ -130,11 +130,7 @@ class AtomicCell:
             return old
 
     def fold_min(self, value: int) -> int:
-        """Lower the cell to value if smaller; returns the new content.
-
-        Only the owning thread folds its own sstamp, and only before sealing,
-        so a locked word must never show up here.
-        """
+        """Lower the cell to value if smaller; returns the new content."""
         with RMW_LOCK:
             assert not is_locked(self._value)
             if value < self._value:
@@ -218,10 +214,12 @@ class TransactionContext:
     three shared words are plain slots whose read-modify-writes are the
     methods below, under RMW_LOCK; cstamp is only ever stored.  writes is
     the engine's write set, an insertion-ordered dict from each installed
-    version to its record; reads is the certifier's read set (the bare
+    version to its record.  reads is the certifier's read set (the bare
     scheme keeps none), an insertion-ordered dict from each tracked version
-    to whether this transaction raised its reader bit.  ssi holds
-    the SSI certifier's flags, whose inbound cell peers may set.
+    to None.  Overwriters look up a version in it (reader_slots): versions
+    hash by identity, so under the GIL a lookup runs no bytecode and sees an
+    insert whole or not at all.  ssi holds the SSI certifier's flags, whose
+    inbound cell peers may set.
     """
 
     __slots__ = (
@@ -345,11 +343,13 @@ class TransactionTable:
 
     Slot i is written only by worker i; any thread may read any slot.  A
     transaction id encodes its slot in the low bits, so lookups by tid can
-    detect that the slot has moved on to a newer transaction.
+    detect that the slot has moved on to a newer transaction.  top is one
+    past the highest slot ever published: table walks stop there.
     """
 
     def __init__(self):
         self.slots = [_Slot() for _ in range(MAX_WORKERS)]
+        self.top = 0
         self._tid_seq = AtomicCell(0)
 
     def allocate_tid(self, slot: int) -> int:
@@ -360,7 +360,24 @@ class TransactionTable:
         entry = self.slots[slot]
         if entry.current is not None:
             raise UsageError("worker slot %d already occupied" % slot)
+        if slot >= self.top:
+            with RMW_LOCK:
+                self.top = max(self.top, slot + 1)
         entry.current = ctx
+
+    def reader_slots(self, version, plain_inflight: bool = True) -> int:
+        """Bitmap of the slots whose current transaction tracks version;
+        plain_inflight=False skips in-flight peers that are not read-mostly."""
+        bits = 0
+        slots = self.slots
+        for slot in range(self.top):
+            peer = slots[slot].current
+            if peer is None or not (plain_inflight or peer.read_mostly
+                                    or peer.status != INFLIGHT):
+                continue
+            if version in peer.reads:
+                bits |= 1 << slot
+        return bits
 
     def clear(self, slot: int) -> None:
         self.slots[slot].current = None

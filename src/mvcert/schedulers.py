@@ -104,7 +104,6 @@ class Engine:
         """Abort ctx and undo its effects; reason None writes no trace line."""
         transition_status(ctx, from_status, ABORTED)
         self.store.rollback(ctx)
-        self._clear_reader_bits(ctx)
         if self.trace is not None and reason is not None:
             self.trace.abort(ctx.tid, ctx.slot, reason)
         self.table.clear(ctx.slot)
@@ -113,32 +112,34 @@ class Engine:
         self._abort_cleanup(ctx, reason, from_status)
         raise TransactionAborted(reason)
 
-    def _clear_reader_bits(self, ctx) -> None:
-        # Only the tracked reads' bits that ctx raised itself: untracked reads
-        # deliberately keep theirs, and so do bits an earlier transaction in
-        # the slot left up.
-        if ctx.reads:
-            self.store.clear_readers(ctx.reads, ctx.slot)
-
     def _require_inflight(self, ctx) -> None:
         if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
 
     # ---------------- forward processing ----------------
+    # Like _commit, read and write abort ctx without a trace line on any
+    # error but a certifier's abort (already cleaned up), then re-raise.
 
     def read(self, ctx: TransactionContext, key: int):
         if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
         store = self.store
-        version = store.visible_version(ctx, store.records[key])
-        own = version.creator_tid == ctx.tid
-        cstamp = 0 if own else store.creation_stamp(version)
-        if self.trace is not None:
-            self.trace.read(ctx.tid, ctx.slot, key, version.creator_tid, cstamp)
-        if not own:
-            cause = self.cert.on_read(ctx, version, cstamp)
-            if cause is not None:
-                self._fail(ctx, cause)
+        record = store.records[key]
+        try:
+            version = store.visible_version(ctx, record)
+            own = version.creator_tid == ctx.tid
+            cstamp = 0 if own else store.creation_stamp(version)
+            if self.trace is not None:
+                self.trace.read(ctx.tid, ctx.slot, key, version.creator_tid,
+                                cstamp)
+            if not own:
+                cause = self.cert.on_read(ctx, version, cstamp)
+                if cause is not None:
+                    self._fail(ctx, cause)
+        except BaseException:
+            if ctx.status == INFLIGHT:
+                self._abort_cleanup(ctx, None, INFLIGHT)
+            raise
         return version.payload
 
     def write(self, ctx: TransactionContext, key: int, payload=None) -> None:
@@ -151,19 +152,23 @@ class Engine:
         record = self.store.records[key]
         try:
             version = self.store.install_version(ctx, record, payload)
+            if self.trace is not None:
+                prev = version.prev
+                # prev is committed, so its word is untagged: the stamp.
+                self.trace.write(ctx.tid, ctx.slot, key, prev.creator_tid,
+                                 prev.cstamp)
+            # A repeated overwrite replaced the payload in place: nothing new.
+            if version not in ctx.writes:
+                ctx.writes[version] = record
+                cause = self.cert.on_write(ctx, version)
+                if cause is not None:
+                    self._fail(ctx, cause)
         except WriteConflict:
             self._fail(ctx, "cc_conflict")
-        if self.trace is not None:
-            prev = version.prev
-            # prev is committed, so its word is untagged: the stamp itself.
-            self.trace.write(ctx.tid, ctx.slot, key, prev.creator_tid,
-                             prev.cstamp)
-        # A repeated overwrite replaced the payload in place: nothing new.
-        if version not in ctx.writes:
-            ctx.writes[version] = record
-            cause = self.cert.on_write(ctx, version)
-            if cause is not None:
-                self._fail(ctx, cause)
+        except BaseException:
+            if ctx.status == INFLIGHT:
+                self._abort_cleanup(ctx, None, INFLIGHT)
+            raise
 
     def scan(self, ctx: TransactionContext) -> list:
         """Full-table scan under the table-granularity read mode.
@@ -231,6 +236,5 @@ class Engine:
             self.trace.commit(ctx.tid, ctx.slot, cstamp)
         self.store.finalize_commit(ctx)
         self.cert.post_commit(ctx)
-        self._clear_reader_bits(ctx)
         self.table.clear(ctx.slot)
         return cstamp

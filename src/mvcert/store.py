@@ -17,13 +17,11 @@ A version's stamps and reader bitmap are plain slots, like a transaction's
 words: loads and stores are attribute accesses, atomic under the GIL.  Their
 read-modify-writes run under kernel.RMW_LOCK, the lock every AtomicCell
 shares: the sstamp claim and its restore (VersionMeta.swap_sstamp), setting
-one reader bit at read time (Store.register_reader), and three batches that
-take the lock once per transaction, not once per version: setting the reader
-bits of a whole read set at commit (Store.register_readers), a committer's
-pstamp raise over its read set (Store.finalize_commit) and clearing the
-reader bits it raised (Store.clear_readers).  A record is itself the
-AtomicCell that holds the newest version of its chain; the table pstamp is
-the store's other cell.
+one reader bit (Store.register_reader), and a committer's pstamp raise over
+its read set (Store.finalize_commit), which takes the lock once per
+transaction, not once per version.  A record is itself the AtomicCell that
+holds the newest version of its chain; the table pstamp is the store's other
+cell.
 
 Nothing in the store points back up: a version links only to its
 predecessor, and a transaction's write set maps each version it installed
@@ -32,9 +30,9 @@ unlink.  The store therefore holds no reference cycle, and reference
 counting frees a dropped engine, or a cut chain tail, without the cyclic
 collector.
 
-The store keeps no certifier state beyond these words.  A reader bit goes up
-only when a certifier registers the read, at read time or in the commit
-batch; a read set maps each version to whether its owner raised the bit.
+The store keeps no certifier state beyond these words.  A reader bit marks an
+untracked read, one kept out of the read set (SSN's read-mostly filter), and
+is never cleared; tracked readers are found through the transaction table.
 finalize_commit raises the access stamps of the committer's read set, which
 the bare scheme leaves empty.
 """
@@ -220,35 +218,10 @@ class Store:
         assert swapped, "overwritten head carried a foreign overwriter tid"
         return version
 
-    def register_reader(self, version: VersionMeta, slot: int) -> bool:
-        """Set slot's reader bit; True when this call raised it."""
-        bit = 1 << slot
+    def register_reader(self, version: VersionMeta, slot: int) -> None:
+        """Set slot's reader bit on version, for an untracked read."""
         with RMW_LOCK:
-            bits = version.readers
-            version.readers = bits | bit
-        return not bits & bit
-
-    def register_readers(self, reads: dict, slot: int) -> None:
-        """Set slot's bit on every version of a read set, in one lock, and
-        mark True each entry whose bit this call raised."""
-        bit = 1 << slot
-        with RMW_LOCK:
-            for version in reads:
-                bits = version.readers
-                if not bits & bit:
-                    version.readers = bits | bit
-                    reads[version] = True
-
-    def clear_readers(self, reads: dict, slot: int) -> None:
-        """Clear slot's bit on each version of a read set whose entry is
-        True, in one lock.  A bit the transaction found up belongs to an
-        earlier transaction in the slot, such as an untracked read, and
-        stays."""
-        keep = ~(1 << slot)
-        with RMW_LOCK:
-            for version, raised in reads.items():
-                if raised:
-                    version.readers &= keep
+            version.readers |= 1 << slot
 
     def finalize_commit(self, ctx: TransactionContext) -> None:
         """Post-commit stamp propagation for a committed transaction.

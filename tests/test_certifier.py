@@ -8,7 +8,7 @@ import pytest
 
 import mvcert.certifier
 from mvcert import (
-    INFINITY, CertifierMode, Engine, ExclusionCertifier, GlobalClock, Scheme,
+    INFINITY, CertifierMode, Engine, ExclusionCertifier, Scheme,
     TransactionAborted, build_graph, check_trace, find_violations,
     replay_scripted,
 )
@@ -390,6 +390,40 @@ class TestReadMostly:
         engine.commit(updater)
         assert updater.pstamp >= published
 
+    def test_a_plain_reader_in_flight_brings_no_slot_stamp(self):
+        # U -rw-> T only.  R in slot 1 never read x, but committed at 8,
+        # after T overwrote U's read of z at 7.  P, a plain reader later in
+        # slot 1, reads x and stays in flight: it will meet U's claim in its
+        # own commit check, so U's sweep skips it and must not take slot
+        # 1's 8 as its pstamp.
+        engine = Engine(4, SI, SSN, read_mostly_threshold=1,
+                        trace=TraceLog())
+        x, y, z = 0, 1, 2
+        for key in (x, y, z):
+            seed = engine.begin(0)
+            engine.write(seed, key)
+            engine.commit(seed)
+        for _ in range(3):
+            engine.clock.next()
+        u = engine.begin(0)
+        engine.read(u, z)
+        t = engine.begin(2)
+        engine.write(t, z)
+        assert engine.commit(t) == 7
+        r = engine.begin(1, read_mostly=True)
+        engine.read(r, y)
+        assert engine.commit(r) == engine.table.last_cstamp(1) == 8
+        p = engine.begin(1)
+        engine.read(p, x)
+        read = engine.store.records[x].load()
+        assert engine.table.reader_slots(read) == 1 << 1
+        assert engine.table.reader_slots(read, False) == 0
+        engine.write(u, x)
+        engine.commit(u)
+        assert u.status == Status.COMMITTED and u.pstamp < 8
+        engine.commit(p)
+        assert check_trace(engine.trace.merged()).clean
+
     @pytest.mark.xfail(strict=True, raises=TransactionAborted, reason=(
         "needless abort: an untracked read leaves its slot bit set, so the "
         "reader sweep folds in the slot's later last_cstamp (ROADMAP item "
@@ -426,7 +460,8 @@ class TestReadMostly:
 
 
 class TestReaderBits:
-    """When reader bits go up and which ones a transaction clears."""
+    """Reader bits mark untracked reads only; the transaction table reports
+    tracked readers."""
 
     def _seeded(self, certifier=SSN):
         engine = Engine(4, SI, certifier)
@@ -436,36 +471,50 @@ class TestReaderBits:
         engine.commit(seed)
         return engine, [engine.store.records[key].load() for key in (0, 1)]
 
-    def test_plain_reader_raises_its_bits_in_one_batch_before_the_draw(
-            self, monkeypatch):
-        engine, versions = self._seeded()
+    def test_plain_reader_raises_no_bit_and_the_table_reports_it(self):
+        engine, (first, second) = self._seeded()
+        table = engine.table
         reader = engine.begin(1)
         engine.read(reader, 0)
+        assert table.reader_slots(first) == 1 << 1
+        assert table.reader_slots(second) == 0
         engine.read(reader, 1)
-        assert [v.readers for v in versions] == [0, 0]
+        assert table.reader_slots(second) == 1 << 1
         engine.write(reader, 2)
-        seen = []
-        draw = GlobalClock.next
-
-        def spy(clock):
-            seen.append((reader.status, [v.readers for v in versions]))
-            return draw(clock)
-
-        monkeypatch.setattr(GlobalClock, "next", spy)
         engine.commit(reader)
-        assert seen == [(Status.COMMITTING, [1 << 1, 1 << 1])]
-        assert [v.readers for v in versions] == [0, 0]
+        assert first.readers == second.readers == 0
+        assert table.reader_slots(first) == table.reader_slots(second) == 0
 
     @pytest.mark.parametrize("certifier, read_mostly",
                              [(SSN, True), (SSI, False)], ids=["rm", "ssi"])
-    def test_read_mostly_and_ssi_readers_raise_bits_at_read_time(
-            self, certifier, read_mostly):
+    def test_tracked_reads_raise_no_bit(self, certifier, read_mostly):
         engine, (version, _) = self._seeded(certifier)
         reader = engine.begin(1, read_mostly=read_mostly)
         engine.read(reader, 0)
-        assert version.readers == 1 << 1
+        assert reader.tracked_reads == 1
+        assert version.readers == 0
+        assert engine.table.reader_slots(version) == 1 << 1
         engine.commit(reader)
         assert version.readers == 0
+
+    def test_an_untracked_reread_of_a_tracked_version_raises_no_bit(self):
+        # The read set already covers the version: the table reports the
+        # reader while it is in its slot, and its commit raises the pstamp.
+        engine = Engine(4, SI, SSN, read_mostly_threshold=2)
+        seed = engine.begin(0)
+        engine.write(seed, 0)
+        engine.commit(seed)
+        version = engine.store.records[0].load()
+        reader = engine.begin(1, read_mostly=True)
+        engine.read(reader, 0)
+        for _ in range(5):
+            engine.clock.next()
+        engine.read(reader, 0)
+        assert reader.tracked_reads == reader.untracked_reads == 1
+        assert version.readers == 0
+        assert engine.table.reader_slots(version, False) == 1 << 1
+        engine.commit(reader)
+        assert version.readers == 0 and version.pstamp == reader.cstamp
 
     @pytest.mark.parametrize("serial", [True, False])
     @pytest.mark.parametrize("end", ["abort", "commit"])
@@ -507,8 +556,8 @@ class TestReaderBits:
 
     def test_later_overwriter_waits_for_a_reader_paused_after_its_draw(
             self, monkeypatch):
-        # The reader's bit goes up in its commit batch; an overwriter that
-        # draws a later stamp must find it and wait out the reader's verdict.
+        # The table reports the reader from its first read; an overwriter
+        # that draws a later stamp must find it and wait out its verdict.
         engine, (version, _) = self._seeded()
         reader = engine.begin(1)
         engine.read(reader, 0)
@@ -535,7 +584,7 @@ class TestReaderBits:
         reader_thread.start()
         try:
             assert drawn.wait(10)
-            assert version.readers == 1 << 1
+            assert engine.table.reader_slots(version) == 1 << 1
             overwriter = engine.begin(2)
             engine.write(overwriter, 0)
             overwriter_thread = threading.Thread(target=engine.commit,
@@ -552,6 +601,39 @@ class TestReaderBits:
         assert reader.status == overwriter.status == Status.COMMITTED
         assert overwriter.cstamp > reader.cstamp
         assert overwriter.pstamp >= reader.cstamp
+
+    def test_ssi_writer_finds_a_reader_paused_before_it_loads_the_claim(
+            self, monkeypatch):
+        # The SSI reader joins its read set before it loads the overwrite
+        # claim.  A writer that installs in between sees no claim load to
+        # mark it, so it must find the reader through the table itself.
+        engine, (version, _) = self._seeded(SSI)
+        reader = engine.begin(1)
+        loading, release = threading.Event(), threading.Event()
+        resolve = mvcert.certifier.overwriter_outcome
+
+        def paused(table, seen, ctx):
+            if ctx is reader and not loading.is_set():
+                loading.set()
+                release.wait(10)
+            return resolve(table, seen, ctx)
+
+        monkeypatch.setattr(mvcert.certifier, "overwriter_outcome", paused)
+        reader_thread = threading.Thread(target=engine.read,
+                                         args=(reader, 0))
+        reader_thread.start()
+        try:
+            assert loading.wait(10)
+            assert version in reader.reads
+            writer = engine.begin(2)
+            engine.write(writer, 0)
+            assert writer.ssi.in_rw.load() & mvcert.certifier.IN_RW
+        finally:
+            release.set()
+            reader_thread.join(10)
+        assert not reader_thread.is_alive()
+        assert reader.ssi.out_rw                   # and the reader saw it
+        assert writer.ssi.in_rw.load() & mvcert.certifier.IN_RW
 
 
 class TestTableModes:
@@ -668,7 +750,6 @@ class TestParallelFinalization:
         engine.read(reader, 0)
         from mvcert.kernel import transition_status
         transition_status(reader, Status.INFLIGHT, Status.COMMITTING)
-        engine.store.register_readers(reader.reads, reader.slot)
         reader.cstamp = 10 ** 6                    # far in the future
         transition_status(reader, Status.COMMITTING, Status.COMMITTED)
         engine.commit(updater)

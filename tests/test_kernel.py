@@ -191,13 +191,6 @@ def _head_words(store):
     return [_version_words(record.load()) for record in store.records]
 
 
-def _store_with_readers():
-    store = Store(2, TransactionTable())
-    for record in store.records:
-        record.load().readers = 1 << 2
-    return store
-
-
 def _committed_reader():
     # A committed transaction that tracked a read of both heads.
     store = Store(2, TransactionTable())
@@ -237,24 +230,18 @@ READ_MODIFY_WRITES = {
     "TransactionContext.swap_sstamp": (
         _ctx, lambda c: c.swap_sstamp(INFINITY, 5), _ctx_words),
     # The store's reader-bit and pstamp updates take the lock themselves;
-    # the three batches take it once for all their versions.
+    # finalize_commit takes it once for the whole read set.
     "Store.register_reader": (
         lambda: Store(2, TransactionTable()),
         lambda s: s.register_reader(s.records[0].load(), 2),
         _head_words),
-    "Store.register_readers": (
-        lambda: Store(2, TransactionTable()),
-        lambda s: s.register_readers(
-            dict.fromkeys([r.load() for r in s.records], False), 2),
-        _head_words),
-    "Store.clear_readers": (
-        _store_with_readers,
-        lambda s: s.clear_readers(
-            dict.fromkeys([r.load() for r in s.records], True), 2),
-        _head_words),
     "Store.finalize_commit": (
         _committed_reader, lambda t: t[0].finalize_commit(t[1]),
         lambda t: _head_words(t[0])),
+    # Publishing into a slot above the high-water mark raises it.
+    "TransactionTable.publish": (
+        TransactionTable, lambda t: t.publish(3, _ctx()),
+        lambda t: t.top),
 }
 
 
@@ -274,8 +261,9 @@ class TestLockDiscipline:
 
     def test_every_read_modify_write_is_listed(self):
         # Every method of the classes that own shared words, apart from
-        # these, changes a shared word.  The Store entries are listed by
-        # hand: most of its methods reach their words through the others.
+        # these, changes a shared word.  The Store and TransactionTable
+        # entries are listed by hand: most of their methods change no
+        # shared word or reach theirs through the others.
         plain = {"load", "store", "committed_stamp"}
         defined = {"%s.%s" % (cls.__name__, name)
                    for cls in (AtomicCell, VersionMeta, TransactionContext)
@@ -283,7 +271,8 @@ class TestLockDiscipline:
                    if callable(value) and not name.startswith("__")
                    and name not in plain}
         assert defined == {name for name in READ_MODIFY_WRITES
-                           if not name.startswith("Store.")}
+                           if not name.startswith(("Store.",
+                                                   "TransactionTable."))}
 
     @pytest.mark.parametrize("name", sorted(READ_MODIFY_WRITES))
     def test_read_modify_write_runs_under_the_shared_lock(
@@ -460,6 +449,27 @@ class TestTransactionTable:
         table.publish(2, new)
         assert table.get(old_tid) is None
         assert table.get(new.tid) is new
+
+    def test_reader_slots_walks_the_published_slots(self):
+        table = TransactionTable()
+        version, other = _version(), _version()
+        assert table.top == 0 and table.reader_slots(version) == 0
+        for slot in (5, 2):
+            ctx = TransactionContext(table.allocate_tid(slot), slot,
+                                     Scheme.SI, read_mostly=slot == 2)
+            ctx.reads[version] = None
+            table.publish(slot, ctx)
+        assert table.top == 6
+        assert table.reader_slots(version) == 1 << 5 | 1 << 2
+        assert table.reader_slots(other) == 0
+        # Without plain in-flight peers: the read-mostly one stays, and the
+        # plain one counts again once it is committing.
+        assert table.reader_slots(version, False) == 1 << 2
+        table.slots[5].current.status = Status.COMMITTING
+        assert table.reader_slots(version, False) == 1 << 5 | 1 << 2
+        table.clear(5)
+        assert table.reader_slots(version) == 1 << 2
+        assert table.top == 6
 
     def test_last_cstamp_is_monotonic(self):
         table = TransactionTable()

@@ -335,3 +335,38 @@ class TestFailureAtomicity:
         assert [e.kind for e in events if e.tid == ctx.tid] == [
             "begin", "read", "write"]
         assert check_trace(events).clean
+
+    @pytest.mark.parametrize("hook", ["on_read", "on_write"])
+    def test_error_inside_a_forward_hook_rolls_back_and_frees_the_slot(
+            self, monkeypatch, hook):
+        engine = Engine(3, SI, SSN, trace=TraceLog())
+        seed = engine.begin(0)
+        engine.write(seed, 1, "old")
+        engine.commit(seed)
+        old, untouched = (engine.store.records[key].load() for key in (1, 2))
+        ctx = engine.begin(1)
+        engine.write(ctx, 1, "doomed")
+
+        def explode(self, ctx, version, *stamp):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(ExclusionCertifier, hook, explode)
+        with pytest.raises(RuntimeError, match="injected"):
+            if hook == "on_read":
+                engine.read(ctx, 0)
+            else:
+                engine.write(ctx, 2, "doomed too")
+        monkeypatch.undo()
+
+        assert ctx.status == Status.ABORTED
+        assert engine.store.records[1].load() is old
+        assert engine.store.records[2].load() is untouched
+        assert old.sstamp == untouched.sstamp == INFINITY
+        assert engine.table.slots[1].current is None
+        later = engine.begin(1)                 # the slot is free again
+        engine.write(later, 1, "new")           # and no dead head blocks it
+        engine.commit(later)
+        assert engine.read(engine.begin(0), 1) == "new"
+        events = engine.trace.merged()
+        assert "abort" not in [e.kind for e in events if e.tid == ctx.tid]
+        assert check_trace(events).clean

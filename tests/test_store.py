@@ -158,28 +158,13 @@ class TestReaders:
         store.register_reader(version, 2)
         assert version.readers == 1 << 2
 
-    def test_register_is_idempotent_and_clear_removes(self, store):
+    def test_register_is_idempotent_and_keeps_other_slots(self, store):
         version = store.records[0].load()
-        other = store.records[1].load()
-        assert store.register_reader(version, 5)
-        assert not store.register_reader(version, 5)
-        store.register_reader(other, 5)
-        store.register_reader(other, 2)
-        store.clear_readers({version: True, other: True}, 5)
-        assert version.readers == 0
-        assert other.readers == 1 << 2
-
-    def test_batch_raises_missing_bits_and_records_which(self, store):
-        mine = store.records[0].load()
-        left_up = store.records[1].load()
-        store.register_reader(left_up, 5)
-        reads = {mine: False, left_up: False}
-        store.register_readers(reads, 5)
-        assert mine.readers == left_up.readers == 1 << 5
-        assert reads == {mine: True, left_up: False}
-        store.clear_readers(reads, 5)
-        assert mine.readers == 0
-        assert left_up.readers == 1 << 5
+        store.register_reader(version, 5)
+        store.register_reader(version, 5)
+        store.register_reader(version, 2)
+        assert version.readers == 1 << 5 | 1 << 2
+        assert store.records[1].load().readers == 0
 
 
 class TestFinalizeAndRollback:
