@@ -203,31 +203,38 @@ class ExclusionCertifier(Certifier):
         transaction makes the read untracked: either the version is more
         than threshold ticks older than the clock, or the transaction is in
         table mode R (it scanned).  That is decided first, and an untracked
-        read of a version outside the read set sets its reader bit before
-        the overwrite claim is loaded, so an overwriter either finds the
-        bit, for the handshake, or leaves a claim this read sees.  Tracked
-        reads set no bit: overwriters find them through the transaction
-        table.  The window test after the folds is advisory: stamps may
-        still move, the binding check happens at pre-commit.
+        read of a version outside the read set sets its reader bit, unless
+        it is already set, before the overwrite claim is loaded, so an
+        overwriter either finds the bit, for the handshake, or leaves a
+        claim this read sees.  A read that sees a claim is tracked even if
+        the filter left it out, because the overwriter may have swept
+        already.  Tracked reads set no bit: overwriters find them through
+        the transaction table.  The window test after the folds is
+        advisory: stamps may still move, the binding check happens at
+        pre-commit.
         """
         if ctx.snapshot_mode:
             return None
         threshold = self.threshold
         untracked = ctx.read_mostly and (
             (threshold and self.clock.current() - cstamp > threshold)
-            or TableMode.R in ctx.table_modes)
-        if untracked and version not in ctx.reads:
+            or (ctx.table_modes and TableMode.R in ctx.table_modes))
+        if (untracked and not version.readers >> ctx.slot & 1
+                and version not in ctx.reads):
             self.store.register_reader(version, ctx.slot)
         if cstamp > ctx.pstamp:
             ctx.pstamp = cstamp
         word = version.sstamp
-        if word == INFINITY or word & TID_TAG:
-            # No committed overwrite yet (an in-flight overwriter counts as
-            # none; pre-commit resolves it through the transaction table).
+        if word == INFINITY:
             if untracked:
                 ctx.untracked_reads += 1
             else:
                 ctx.reads[version] = None
+        elif word & TID_TAG:
+            # An overwriter holds the claim and may have swept its readers
+            # before this read's bit went up, so the read is tracked after
+            # all: pre-commit resolves the overwrite through the table.
+            ctx.reads[version] = None
         else:
             ctx.fold_sstamp(word & VALUE_MASK)
         if ctx.sstamp & VALUE_MASK <= ctx.pstamp:
@@ -339,7 +346,13 @@ class ExclusionCertifier(Certifier):
         the slots whose bit an untracked read raised, and the slots whose
         current transaction tracks the predecessor, less plain ones still in
         flight: those draw a later stamp and meet this updater's claim in
-        their own certify_parallel.  The per-slot last commit stamp covers
+        their own certify_parallel.  The table is walked once per commit,
+        after the stamp draw, for the peers whose read sets the sweep looks
+        in.  That is sound for every predecessor: the claims all went up
+        before the draw, and a peer that was in flight at the walk, or
+        published after it, draws a later stamp, so it meets the claim in
+        its own certify_parallel, as a peer skipped by a walk per
+        predecessor would.  The per-slot last commit stamp covers
         untracked readers that already left; a reader that committed below
         this commit stamp folds into pstamp (settle waits it out); an
         in-flight read-mostly reader, or one holding a later stamp, gets
@@ -352,38 +365,45 @@ class ExclusionCertifier(Certifier):
         or None.
         """
         my_cstamp = ctx.cstamp
+        my_slot = ctx.slot
         pstamp = ctx.pstamp
         handshake_failed = False
         table = self.table
+        peers = table.peer_reads(my_slot, False) if ctx.writes else ()
         for version in ctx.writes:
             prev = version.prev
-            bits = prev.readers | table.reader_slots(prev, False)
+            bits = prev.readers
+            for slot, reads in peers:
+                if prev in reads:
+                    bits |= 1 << slot
             while bits:
                 slot = (bits & -bits).bit_length() - 1
                 bits &= bits - 1
-                if slot == ctx.slot:
+                if slot == my_slot:
                     continue
                 last = table.last_cstamp(slot)
-                if 0 < last < my_cstamp:
-                    pstamp = max(pstamp, last)
+                if pstamp < last < my_cstamp:
+                    pstamp = last
                 reader = table.slots[slot].current
-                if reader is None or reader is ctx:
+                if reader is None:
                     continue
                 stamp = settle(reader, my_cstamp)
-                if stamp > 0:
-                    pstamp = max(pstamp, stamp)
+                if stamp > pstamp:
+                    pstamp = stamp
                 elif stamp == PENDING and reader.read_mostly:
                     if not self._handshake(reader, ctx.sstamp & VALUE_MASK):
                         handshake_failed = True
-            pstamp = max(pstamp, prev.pstamp)
+            if prev.pstamp > pstamp:
+                pstamp = prev.pstamp
         ctx.pstamp = pstamp
         if handshake_failed:
             return "ssn_exclusion"
-        if TableMode.W in ctx.table_modes:
+        if ctx.table_modes and TableMode.W in ctx.table_modes:
             # Table updates inherit every committed scan as a predecessor.
-            pstamp = max(pstamp, self.store.table_pstamp.load())
-            ctx.pstamp = pstamp
-        snap = self._snapshot_pstamp(ctx)
+            table_pstamp = self.store.table_pstamp.load()
+            if table_pstamp > pstamp:
+                pstamp = ctx.pstamp = table_pstamp
+        snap = self._snapshot_pstamp(ctx) if self._snapshot else 0
         if ctx.read_mostly:
             # From here on no updater may lower our sstamp; one that tries
             # will fail its compare-and-swap and abort itself.
@@ -393,7 +413,7 @@ class ExclusionCertifier(Certifier):
         # successor exists, so no predecessor can fall inside the window.
         # The distinction only matters for empty-write-set commits, whose
         # reused snapshot stamps may tie with a predecessor's.
-        if pi < ctx.cstamp and pi <= max(pstamp, snap):
+        if pi < ctx.cstamp and (pi <= pstamp or pi <= snap):
             return "safe_snapshot" if pi > pstamp else "ssn_exclusion"
         return None
 
@@ -404,7 +424,7 @@ class ExclusionCertifier(Certifier):
             return
         if ctx.read_mostly:
             self.table.record_commit_stamp(ctx.slot, ctx.cstamp)
-        if TableMode.R in ctx.table_modes:
+        if ctx.table_modes and TableMode.R in ctx.table_modes:
             self.store.table_pstamp.fold_max(ctx.cstamp)
 
 

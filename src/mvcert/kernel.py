@@ -8,12 +8,17 @@ is bounded spinning.  Shared words are plain slots of the object that owns
 them: a transaction's status, cstamp and sstamp and the table's top here, a
 version's stamps and reader bits in store.py.  Their read-modify-writes are
 methods of that owner that run under RMW_LOCK (a transaction's status CAS,
-sstamp min-fold, seal and handshake CAS, and the table's raise of top).
-AtomicCells (plain load/store plus locked fetch-add, fetch-or,
-compare-and-swap) remain only where a word stands alone: each record, which
-is the cell holding the newest version of its chain, the table pstamp, the
-clock, the tid sequence and the SSI inbound flags.  The lock is not
-reentrant, so no read-modify-write may run another while it holds the lock.
+sstamp min-fold, seal and handshake CAS, and the table's raise of top).  One
+word needs no lock: only the owner folds the sstamp of a transaction that
+is not read-mostly, because peers write only a read-mostly reader's sstamp
+(the handshake), so that fold is a plain store.  AtomicCells (plain
+load/store plus locked fetch-add, fetch-or, compare-and-swap) remain only
+where a word stands alone: each record, which is the cell holding the newest
+version of its chain, the table pstamp, the clock, the tid sequence and the
+SSI inbound flags.  A record's cell changes only together with a version's
+sstamp, in one hold of the lock (store.py), not through its own
+compare-and-swap.  The lock is not reentrant, so no read-modify-write may
+run another while it holds the lock.
 Every wait for a peer's pre-commit verdict goes through one function,
 settle, which waits only on a peer that holds a smaller commit stamp.
 
@@ -209,17 +214,18 @@ class TableMode(Enum):
 class TransactionContext:
     """Per-transaction state, owned by one worker thread.
 
-    Peers may read status, cstamp and sstamp, and may compare-and-swap
-    sstamp (the read-mostly handshake); everything else is private.  The
-    three shared words are plain slots whose read-modify-writes are the
-    methods below, under RMW_LOCK; cstamp is only ever stored.  writes is
-    the engine's write set, an insertion-ordered dict from each installed
-    version to its record.  reads is the certifier's read set (the bare
-    scheme keeps none), an insertion-ordered dict from each tracked version
-    to None.  Overwriters look up a version in it (reader_slots): versions
-    hash by identity, so under the GIL a lookup runs no bytecode and sees an
-    insert whole or not at all.  ssi holds the SSI certifier's flags, whose
-    inbound cell peers may set.
+    Peers may read status, cstamp and sstamp, and may compare-and-swap a
+    read-mostly transaction's sstamp (the handshake); everything else is
+    private.  The three shared words are plain slots whose read-modify-writes
+    are the methods below, under RMW_LOCK, except the owner's sstamp fold
+    of a transaction that is not read-mostly; cstamp is only ever stored.
+    writes is the engine's write set, an insertion-ordered dict from each
+    installed version to its record.  reads is the certifier's read set
+    (the bare scheme keeps none), an insertion-ordered dict from each
+    tracked version to None.  Overwriters look up a version in it
+    (TransactionTable.peer_reads): versions hash by identity, so under the
+    GIL a lookup runs no bytecode and sees an insert whole or not at all.
+    ssi holds the SSI certifier's flags, whose inbound cell peers may set.
     """
 
     __slots__ = (
@@ -262,8 +268,14 @@ class TransactionContext:
         """Lower sstamp to value if smaller; returns the new content.
 
         Only the owning thread folds its own sstamp, and only before sealing,
-        so a locked word must never show up here.
+        so a locked word must never show up here.  Peers write only a
+        read-mostly transaction's sstamp (the handshake), so the owner of
+        any other transaction folds with a plain store.
         """
+        if not self.read_mostly:
+            if value < self.sstamp:
+                self.sstamp = value
+            return self.sstamp
         with RMW_LOCK:
             assert not is_locked(self.sstamp)
             if value < self.sstamp:
@@ -365,17 +377,26 @@ class TransactionTable:
                 self.top = max(self.top, slot + 1)
         entry.current = ctx
 
-    def reader_slots(self, version, plain_inflight: bool = True) -> int:
-        """Bitmap of the slots whose current transaction tracks version;
-        plain_inflight=False skips in-flight peers that are not read-mostly."""
-        bits = 0
+    def peer_reads(self, skip: int, plain_inflight: bool) -> list:
+        """(slot, read set) of each current transaction outside slot skip;
+        plain_inflight=False leaves out in-flight peers that are not
+        read-mostly.  This is the one walk of the table."""
+        found = []
         slots = self.slots
         for slot in range(self.top):
             peer = slots[slot].current
-            if peer is None or not (plain_inflight or peer.read_mostly
-                                    or peer.status != INFLIGHT):
+            if peer is None or slot == skip or not (
+                    plain_inflight or peer.read_mostly
+                    or peer.status != INFLIGHT):
                 continue
-            if version in peer.reads:
+            found.append((slot, peer.reads))
+        return found
+
+    def reader_slots(self, version, plain_inflight: bool = True) -> int:
+        """Bitmap of the slots whose current transaction tracks version."""
+        bits = 0
+        for slot, reads in self.peer_reads(-1, plain_inflight):
+            if version in reads:
                 bits |= 1 << slot
         return bits
 

@@ -3,25 +3,26 @@
 Each record is a newest-first singly linked chain of versions.  A version's
 cstamp holds the creator's transaction id until the creator's post-commit
 turns it into a real timestamp, which is also the visibility switch: readers
-skip tid-tagged versions that are not their own.  Chain appends serialize on
-a single compare-and-swap of the record's cell, so writers never block
-readers and vice versa.
+skip tid-tagged versions that are not their own.  A writer appends under
+one hold of kernel.RMW_LOCK: it checks that the head it saw is still the
+head and unclaimed, then links its version in and claims the old head.
+Readers take no lock, so writers never block readers and vice versa.
 
 Version stamps follow a strict lifecycle.  sstamp goes +inf -> overwriter
 tid -> overwriter's successor watermark, never any other way; pstamp only
 rises once the version is committed.  Aborts restore the overwritten
-version's sstamp to +inf before unlinking the dead head, so no reader can
-observe a dangling overwriter tid.
+version's sstamp to +inf before unlinking the dead head, in the same hold
+of the lock, so no reader can observe a dangling overwriter tid.
 
 A version's stamps and reader bitmap are plain slots, like a transaction's
 words: loads and stores are attribute accesses, atomic under the GIL.  Their
 read-modify-writes run under kernel.RMW_LOCK, the lock every AtomicCell
-shares: the sstamp claim and its restore (VersionMeta.swap_sstamp), setting
-one reader bit (Store.register_reader), and a committer's pstamp raise over
-its read set (Store.finalize_commit), which takes the lock once per
-transaction, not once per version.  A record is itself the AtomicCell that
-holds the newest version of its chain; the table pstamp is the store's other
-cell.
+shares: an append with its sstamp claim (Store.install_version), an unlink
+with the claim's restore (Store.rollback), setting one reader bit
+(Store.register_reader), and a committer's pstamp raise over its read set
+(Store.finalize_commit), which takes the lock once per transaction, not
+once per version.  A record is itself the AtomicCell that holds the newest
+version of its chain; the table pstamp is the store's other cell.
 
 Nothing in the store points back up: a version links only to its
 predecessor, and a transaction's write set maps each version it installed
@@ -76,21 +77,14 @@ class VersionMeta:
         assert not is_tid(word)
         return word_value(word)
 
-    def swap_sstamp(self, expected: int, new: int) -> bool:
-        """Compare-and-swap of sstamp: an overwriter's claim or its restore."""
-        with RMW_LOCK:
-            if self.sstamp == expected:
-                self.sstamp = new
-                return True
-            return False
-
 
 class Record(AtomicCell):
     """One record: the cell that holds the newest version of its chain.
 
-    Appends and unlinks are the inherited compare_and_swap.  Every record
-    starts with a committed "invalid" version: payload None, creation stamp
-    0, creator 0 (nobody).
+    Appends and unlinks store the cell's word under RMW_LOCK, together
+    with the overwritten version's claim (Store.install_version and
+    rollback).  Every record starts with a committed "invalid" version:
+    payload None, creation stamp 0, creator 0 (nobody).
     """
 
     __slots__ = ()
@@ -198,6 +192,8 @@ class Store:
         Conflicts: the head is another transaction's uncommitted write, or
         (SI only) the head committed after the writer's snapshot.  A repeated
         overwrite by the same transaction replaces the payload in place.
+        The append and the claim of the old head happen in one hold of the
+        lock, after every check, so a refused install changes nothing.
         """
         head = record._value
         head_word = head.cstamp
@@ -210,12 +206,17 @@ class Store:
             raise WriteConflict("skew")
         claim = TID_TAG | ctx.tid
         version = VersionMeta(ctx.tid, claim, head, payload)
-        if not record.compare_and_swap(head, version):
-            # Another writer won the append race; treat like any other
-            # write-write conflict rather than blocking.
-            raise WriteConflict("uncommitted")
-        swapped = head.swap_sstamp(INFINITY, claim)
-        assert swapped, "overwritten head carried a foreign overwriter tid"
+        with RMW_LOCK:
+            if record._value is not head:
+                # Another writer won the append race; treat like any other
+                # write-write conflict rather than blocking.
+                raise WriteConflict("uncommitted")
+            # Checked before anything changes, so a failed check leaves
+            # the record as it was.
+            assert head.sstamp == INFINITY, \
+                "overwritten head carried a foreign overwriter tid"
+            record._value = version
+            head.sstamp = claim
         return version
 
     def register_reader(self, version: VersionMeta, slot: int) -> None:
@@ -249,15 +250,21 @@ class Store:
     def rollback(self, ctx: TransactionContext) -> None:
         """Unlink every version an aborted transaction installed.
 
-        ctx.writes maps each installed version to its record.  The
-        predecessor's sstamp is restored before the head is unlinked so a
-        concurrent reader never sees an overwriter tid with no overwriter.
+        ctx.writes maps each installed version to its record.  Each version
+        takes one hold of the lock, in which the predecessor's sstamp is
+        restored before the head is unlinked, so a concurrent reader never
+        sees an overwriter tid with no overwriter.
         """
+        claim = TID_TAG | ctx.tid
         for version, record in reversed(ctx.writes.items()):
-            restored = version.prev.swap_sstamp(TID_TAG | ctx.tid, INFINITY)
-            assert restored, "aborting overwriter lost its sstamp claim"
-            unlinked = record.compare_and_swap(version, version.prev)
-            assert unlinked, "aborted head was overwritten concurrently"
+            prev = version.prev
+            with RMW_LOCK:
+                assert prev.sstamp == claim, \
+                    "aborting overwriter lost its sstamp claim"
+                assert record._value is version, \
+                    "aborted head was overwritten concurrently"
+                prev.sstamp = INFINITY
+                record._value = prev
 
     def dump_stamps(self):
         """Raw stamp words per record, oldest version first (for tests)."""

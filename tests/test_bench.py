@@ -1,6 +1,7 @@
 """Workload harness: determinism, accounting invariants, CLI surface."""
 
 import dataclasses
+import hashlib
 import importlib
 import os
 import random
@@ -446,3 +447,29 @@ def test_perfbench_traced_unit_runs(monkeypatch, tmp_path):
     assert recorder.fresh_versions > 0
     assert traced.committed == 60 and traced.anomaly_txns == 0
     assert traced.counts() == untraced.counts()
+
+
+# Digests of the engine trace of short logical-client runs, perfbench's
+# driver on its own schedule: (workload, commits, seed) -> digest.  They
+# pin every verdict and every read's version on the two contended
+# workloads, so a change to the operation path that must not change
+# behaviour can be checked in seconds.
+WORKLOAD_TRACE_DIGESTS = {
+    ("hot-8c", 300, 1): "dad01607ba463e57",
+    ("hot-8c", 300, 2): "88064259e5d1eae3",
+    ("read-mostly-8c", 1000, 1): "229067a792974e61",
+    ("read-mostly-8c", 1000, 2): "01f6674d53feaddd",
+}
+
+
+@pytest.mark.parametrize("name, commits, seed", sorted(WORKLOAD_TRACE_DIGESTS))
+def test_logical_workload_traces_replay_to_recorded_digests(
+        monkeypatch, name, commits, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workload = dataclasses.replace(workloads.WORKLOADS[name], commits=commits)
+    engine = workloads.new_engine(workload, CertifierMode.SSN)
+    workloads.drive(engine, workload, seed, workloads.Unit())
+    text = render_trace(engine.trace.merged())
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == WORKLOAD_TRACE_DIGESTS[name, commits, seed]

@@ -13,6 +13,7 @@ from mvcert import (
     replay_scripted,
 )
 from mvcert.kernel import Status, TableMode, is_locked, word_value
+from mvcert.store import Store
 from mvcert.trace import TraceLog
 
 SI, RC = Scheme.SI, Scheme.RC
@@ -422,6 +423,56 @@ class TestReadMostly:
         engine.commit(u)
         assert u.status == Status.COMMITTED and u.pstamp < 8
         engine.commit(p)
+        assert check_trace(engine.trace.merged()).clean
+
+    def test_an_untracked_read_that_sees_a_claim_after_the_sweep_is_tracked(
+            self, monkeypatch):
+        # R -rw-> U -wr-> T -rw-> R.  U commits and pauses before its
+        # post-commit stamping, its reader sweep done.  R then reads U's old
+        # x, stale and so untracked, and meets U's claim, which no sweep
+        # will visit again.  R must track that read, so that its pre-commit
+        # folds U's watermark and refuses to close the cycle.
+        engine = Engine(4, SI, SSN, read_mostly_threshold=1,
+                        trace=TraceLog())
+        x, w, z = 0, 1, 2
+        for key in (x, w, z):
+            seed = engine.begin(0)
+            engine.write(seed, key)
+            engine.commit(seed)
+        for _ in range(3):
+            engine.clock.next()
+        r = engine.begin(1, read_mostly=True)
+        u = engine.begin(2)
+        engine.write(u, x)
+        engine.write(u, w)
+        swept, release = threading.Event(), threading.Event()
+        finalize = Store.finalize_commit
+
+        def paused(store, ctx):
+            if ctx is u:
+                swept.set()
+                release.wait(10)
+            return finalize(store, ctx)
+
+        monkeypatch.setattr(Store, "finalize_commit", paused)
+        committer = threading.Thread(target=engine.commit, args=(u,))
+        committer.start()
+        try:
+            assert swept.wait(10)
+            engine.read(r, x)
+            t = engine.begin(3)
+            engine.read(t, w)
+            engine.read(t, z)
+            engine.commit(t)
+            with pytest.raises(TransactionAborted) as failure:
+                engine.write(r, z)
+                engine.commit(r)
+        finally:
+            release.set()
+            committer.join(10)
+        assert not committer.is_alive()
+        assert u.status == t.status == Status.COMMITTED
+        assert failure.value.reason == "ssn_exclusion"
         assert check_trace(engine.trace.merged()).clean
 
     @pytest.mark.xfail(strict=True, raises=TransactionAborted, reason=(

@@ -171,6 +171,16 @@ class _RecordingLock:
         self.held = False
 
 
+def _replace_shared_lock(monkeypatch, probe):
+    """Put a _RecordingLock in place of RMW_LOCK in every mvcert module."""
+    shared, lock = kernel.RMW_LOCK, _RecordingLock(probe)
+    for module in _mvcert_modules():
+        for attr, value in list(vars(module).items()):
+            if value is shared:
+                monkeypatch.setattr(module, attr, lock)
+    return lock
+
+
 def _version():
     return VersionMeta(65, TID_TAG | 65, None, None)
 
@@ -183,12 +193,35 @@ def _ctx():
     return TransactionContext(65, 1, Scheme.SI)
 
 
+def _read_mostly_ctx():
+    return TransactionContext(65, 1, Scheme.SI, read_mostly=True)
+
+
 def _ctx_words(ctx):
     return ctx.status, ctx.cstamp, ctx.sstamp
 
 
 def _head_words(store):
     return [_version_words(record.load()) for record in store.records]
+
+
+def _writer():
+    # A writer about to overwrite record 0, and that record's head.
+    store = Store(2, TransactionTable())
+    return store, _ctx(), store.records[0].load()
+
+
+def _aborted_writer():
+    store, ctx, head = _writer()
+    record = store.records[0]
+    ctx.writes[store.install_version(ctx, record, None)] = record
+    ctx.status = Status.ABORTED
+    return store, ctx, head
+
+
+def _head_and_claim(t):
+    store, _, head = t
+    return store.records[0].load(), head.sstamp
 
 
 def _committed_reader():
@@ -217,14 +250,13 @@ READ_MODIFY_WRITES = {
         AtomicCell.load),
     "AtomicCell.fold_max": (
         lambda: AtomicCell(0), lambda c: c.fold_max(5), AtomicCell.load),
-    "VersionMeta.swap_sstamp": (
-        _version, lambda v: v.swap_sstamp(INFINITY, TID_TAG | 129),
-        _version_words),
     "TransactionContext.swap_status": (
         _ctx, lambda c: c.swap_status(Status.INFLIGHT, Status.COMMITTING),
         _ctx_words),
+    # Peers write only a read-mostly transaction's sstamp (the handshake),
+    # so only its owner's fold needs the lock.
     "TransactionContext.fold_sstamp": (
-        _ctx, lambda c: c.fold_sstamp(5), _ctx_words),
+        _read_mostly_ctx, lambda c: c.fold_sstamp(5), _ctx_words),
     "TransactionContext.seal_sstamp": (
         _ctx, lambda c: c.seal_sstamp(), _ctx_words),
     "TransactionContext.swap_sstamp": (
@@ -238,6 +270,13 @@ READ_MODIFY_WRITES = {
     "Store.finalize_commit": (
         _committed_reader, lambda t: t[0].finalize_commit(t[1]),
         lambda t: _head_words(t[0])),
+    # An append and its claim, or an unlink and the claim's restore, happen
+    # in one hold of the lock.
+    "Store.install_version": (
+        _writer, lambda t: t[0].install_version(t[1], t[0].records[0], None),
+        _head_and_claim),
+    "Store.rollback": (
+        _aborted_writer, lambda t: t[0].rollback(t[1]), _head_and_claim),
     # Publishing into a slot above the high-water mark raises it.
     "TransactionTable.publish": (
         TransactionTable, lambda t: t.publish(3, _ctx()),
@@ -279,17 +318,21 @@ class TestLockDiscipline:
             self, monkeypatch, name):
         make, run, probe = READ_MODIFY_WRITES[name]
         target = make()
-        shared, lock = kernel.RMW_LOCK, _RecordingLock(lambda: probe(target))
-        for module in _mvcert_modules():
-            for attr, value in list(vars(module).items()):
-                if value is shared:
-                    monkeypatch.setattr(module, attr, lock)
+        lock = _replace_shared_lock(monkeypatch, lambda: probe(target))
         before = probe(target)
         run(target)
         after = probe(target)
         assert before != after
         assert lock.seen == [before, after], \
             "%s changed its word outside the shared lock" % name
+
+    def test_a_plain_owner_folds_its_sstamp_without_the_lock(
+            self, monkeypatch):
+        ctx = _ctx()
+        lock = _replace_shared_lock(monkeypatch, lambda: _ctx_words(ctx))
+        assert ctx.fold_sstamp(5) == 5
+        assert ctx.fold_sstamp(9) == 5
+        assert ctx.sstamp == 5 and lock.seen == []
 
 
 class TestGlobalClock:
@@ -470,6 +513,21 @@ class TestTransactionTable:
         table.clear(5)
         assert table.reader_slots(version) == 1 << 2
         assert table.top == 6
+
+    def test_peer_reads_skips_the_callers_slot(self):
+        table = TransactionTable()
+        contexts = {}
+        for slot in (0, 3):
+            ctx = contexts[slot] = TransactionContext(
+                table.allocate_tid(slot), slot, Scheme.SI)
+            table.publish(slot, ctx)
+        assert table.peer_reads(-1, True) == [
+            (0, contexts[0].reads), (3, contexts[3].reads)]
+        assert table.peer_reads(3, True) == [(0, contexts[0].reads)]
+        assert table.peer_reads(3, False) == []
+        contexts[0].status = Status.COMMITTING
+        [(slot, reads)] = table.peer_reads(3, False)
+        assert slot == 0 and reads is contexts[0].reads
 
     def test_last_cstamp_is_monotonic(self):
         table = TransactionTable()

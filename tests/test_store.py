@@ -262,10 +262,26 @@ def test_store_needs_a_record():
         Store(0, TransactionTable())
 
 
-def test_failed_sstamp_swap_leaves_the_word():
-    version = VersionMeta(0, 0, None, None)
-    assert not version.swap_sstamp(TID_TAG | 65, INFINITY - 1)
-    assert version.sstamp == INFINITY
+def test_a_failed_claim_check_changes_nothing_and_frees_the_key():
+    # install_version checks the claim before it changes anything, so an
+    # install that fails the check leaves the head and its sstamp as they
+    # were, and once the claim is gone the next writer of the key commits.
+    engine = Engine(2, Scheme.SI, CertifierMode.SSN)
+    record = engine.store.records[0]
+    head = record.load()
+    foreign = TID_TAG | 129
+    head.sstamp = foreign
+    writer = engine.begin(0)
+    with pytest.raises(AssertionError, match="foreign overwriter tid"):
+        engine.write(writer, 0)
+    assert writer.status == Status.ABORTED
+    assert record.load() is head and head.sstamp == foreign
+    head.sstamp = INFINITY
+    successor = engine.begin(0)
+    engine.write(successor, 0)
+    engine.commit(successor)
+    assert record.load().prev is head
+    assert head.sstamp == successor.cstamp
 
 
 class TestReclamation:
