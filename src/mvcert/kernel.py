@@ -8,17 +8,16 @@ is bounded spinning.  Shared words are plain slots of the object that owns
 them: a transaction's status, cstamp and sstamp and the table's top here, a
 version's stamps and reader bits in store.py.  Their read-modify-writes are
 methods of that owner that run under RMW_LOCK (a transaction's status CAS,
-sstamp min-fold, seal and handshake CAS, and the table's raise of top).  One
-word needs no lock: only the owner folds the sstamp of a transaction that
-is not read-mostly, because peers write only a read-mostly reader's sstamp
-(the handshake), so that fold is a plain store.  AtomicCells (plain
-load/store plus locked fetch-add, fetch-or, compare-and-swap) remain only
-where a word stands alone: each record, which is the cell holding the newest
-version of its chain, the table pstamp, the clock, the tid sequence and the
-SSI inbound flags.  A record's cell changes only together with a version's
-sstamp, in one hold of the lock (store.py), not through its own
-compare-and-swap.  The lock is not reentrant, so no read-modify-write may
-run another while it holds the lock.
+sstamp min-fold, seal and handshake CAS, and the table's raise of top).
+Peers write only a read-mostly reader's sstamp (the handshake), so the
+owner of any other transaction folds its sstamp with a plain store.
+AtomicCells (plain load/store plus locked fetch-add, fetch-or,
+compare-and-swap) remain only where a word stands alone: each record, which
+is the cell holding the newest version of its chain, the table pstamp, the
+clock, the tid sequence and the SSI inbound flags; a record's cell changes
+together with a version's claim, in one hold of the lock (store.py).  The
+lock is not reentrant, so no read-modify-write may run another while it
+holds the lock.
 Every wait for a peer's pre-commit verdict goes through one function,
 settle, which waits only on a peer that holds a smaller commit stamp.
 
