@@ -64,8 +64,8 @@ keeps only the set of versions that committed pivots overwrote.
 from __future__ import annotations
 
 from .kernel import (
-    COMMITTING, INFINITY, INFLIGHT, LOCK_BIT, PENDING, TID_TAG, VALUE_MASK,
-    AtomicCell, GlobalClock, Scheme, TableMode, TransactionContext,
+    COMMITTING, INFINITY, INFLIGHT, LOCK_BIT, PENDING, SI, TID_TAG,
+    VALUE_MASK, AtomicCell, GlobalClock, TableMode, TransactionContext,
     TransactionTable, is_tid, settle, spin_until, transition_status,
     word_value,
 )
@@ -294,7 +294,7 @@ class ExclusionCertifier(Certifier):
         pre-commit certifies.
         """
         transition_status(ctx, INFLIGHT, COMMITTING)
-        if (not ctx.writes and ctx.scheme is Scheme.SI
+        if (not ctx.writes and ctx.scheme is SI
                 and ctx.begin_stamp > 0 and ctx.untracked_reads == 0
                 and all(v.sstamp == INFINITY for v in ctx.reads)):
             ctx.cstamp = ctx.begin_stamp

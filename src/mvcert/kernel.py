@@ -7,10 +7,12 @@ serializes every read-modify-write cycle of a cross-thread word; all waiting
 is bounded spinning.  Shared words are plain slots of the object that owns
 them: a transaction's status, cstamp and sstamp and the table's top here, a
 version's stamps and reader bits in store.py.  Their read-modify-writes are
-methods of that owner that run under RMW_LOCK (a transaction's status CAS,
-sstamp min-fold, seal and handshake CAS, and the table's raise of top).
-Peers write only a read-mostly reader's sstamp (the handshake), so the
-owner of any other transaction folds its sstamp with a plain store.
+methods of that owner that run under RMW_LOCK (a transaction's sstamp
+min-fold, seal and handshake CAS, and the table's raise of top).  A word
+that only its owner writes needs no lock: a transaction's status moves by
+a plain store (transition_status), and since peers write only a
+read-mostly reader's sstamp (the handshake), the owner of any other
+transaction folds its sstamp with a plain store too.
 AtomicCells (plain load/store plus locked fetch-add, fetch-or,
 compare-and-swap) remain only where a word stands alone: each record, which
 is the cell holding the newest version of its chain, the table pstamp, the
@@ -183,23 +185,19 @@ class Status(IntEnum):
     ABORTED = 3
 
 
+class Scheme(Enum):
+    SI = "si"
+    RC = "rc"
+
+
 # Enum members are slow to look up as class attributes on CPython 3.11; the
 # hot paths of every module compare against these constants instead.
 INFLIGHT, COMMITTING, COMMITTED, ABORTED = (
     Status.INFLIGHT, Status.COMMITTING, Status.COMMITTED, Status.ABORTED)
+SI, RC = Scheme.SI, Scheme.RC
 
-
-_LEGAL_EDGES = {
-    (Status.INFLIGHT, Status.COMMITTING),
-    (Status.COMMITTING, Status.COMMITTED),
-    (Status.COMMITTING, Status.ABORTED),
-    (Status.INFLIGHT, Status.ABORTED),
-}
-
-
-class Scheme(Enum):
-    SI = "si"
-    RC = "rc"
+# The legal successors of each status, indexed by the status.
+_SUCCESSORS = ((COMMITTING, ABORTED), (COMMITTED, ABORTED), (), ())
 
 
 class TableMode(Enum):
@@ -215,9 +213,10 @@ class TransactionContext:
 
     Peers may read status, cstamp and sstamp, and may compare-and-swap a
     read-mostly transaction's sstamp (the handshake); everything else is
-    private.  The three shared words are plain slots whose read-modify-writes
-    are the methods below, under RMW_LOCK, except the owner's sstamp fold
-    of a transaction that is not read-mostly; cstamp is only ever stored.
+    private.  The three shared words are plain slots.  status and cstamp
+    are only ever stored, by the owner (status through transition_status);
+    sstamp's read-modify-writes are the methods below, under RMW_LOCK,
+    except the owner's fold of a transaction that is not read-mostly.
     writes is the engine's write set, an insertion-ordered dict from each
     installed version to its record.  reads is the certifier's read set
     (the bare scheme keeps none), an insertion-ordered dict from each
@@ -234,7 +233,7 @@ class TransactionContext:
         "observed_violation",
     )
 
-    def __init__(self, tid: int, slot: int, scheme: Scheme, *,
+    def __init__(self, tid: int, slot: int, scheme: Scheme,
                  read_only: bool = False, read_mostly: bool = False,
                  begin_stamp: int = 0, start_stamp: int = 0):
         self.tid = tid
@@ -243,7 +242,7 @@ class TransactionContext:
         self.read_only = read_only
         self.read_mostly = read_mostly
         self.snapshot_mode = False
-        self.status = Status.INFLIGHT
+        self.status = INFLIGHT
         self.cstamp = 0
         self.pstamp = 0
         self.sstamp = INFINITY
@@ -255,13 +254,6 @@ class TransactionContext:
         self.ssi = None
         self.untracked_reads = 0
         self.observed_violation = False
-
-    def swap_status(self, expected: Status, new: Status) -> bool:
-        with RMW_LOCK:
-            if self.status == expected:
-                self.status = new
-                return True
-            return False
 
     def fold_sstamp(self, value: int) -> int:
         """Lower sstamp to value if smaller; returns the new content.
@@ -301,12 +293,19 @@ class TransactionContext:
 
 
 def transition_status(ctx: TransactionContext, src: Status, dst: Status) -> None:
-    """Atomically move ctx along a legal lifecycle edge."""
-    if (src, dst) not in _LEGAL_EDGES:
+    """Move ctx along a legal lifecycle edge with a plain store.
+
+    Only the owning thread ever moves its status (pre-commit, the commit
+    and the abort all run on the caller's own context); peers only read
+    it.  So the check and the store need no lock: nothing can change the
+    status between them.
+    """
+    if dst not in _SUCCESSORS[src]:
         raise IllegalTransition("illegal status edge %s -> %s" % (src.name, dst.name))
-    if not ctx.swap_status(src, dst):
+    if ctx.status != src:
         raise IllegalTransition(
             "status of %d is %s, expected %s" % (ctx.tid, ctx.status.name, src.name))
+    ctx.status = dst
 
 
 # settle's answer for a peer with no verdict that bears on the caller: one in

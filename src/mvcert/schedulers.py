@@ -35,7 +35,7 @@ from enum import Enum
 
 from .certifier import Certifier, ExclusionCertifier, SsiCertifier
 from .kernel import (
-    ABORTED, COMMITTED, COMMITTING, INFLIGHT, GlobalClock, Scheme,
+    ABORTED, COMMITTED, COMMITTING, INFLIGHT, RC, GlobalClock, Scheme,
     TableMode, TransactionAborted, TransactionContext, TransactionTable,
     UsageError, transition_status,
 )
@@ -85,10 +85,9 @@ class Engine:
               read_mostly: bool = False) -> TransactionContext:
         tid = self.table.allocate_tid(slot)
         start = self.clock.current()
-        ctx = TransactionContext(
-            tid, slot, self.scheme, read_only=read_only,
-            read_mostly=read_mostly, start_stamp=start,
-            begin_stamp=0 if self.scheme is Scheme.RC else start)
+        scheme = self.scheme
+        ctx = TransactionContext(tid, slot, scheme, read_only, read_mostly,
+                                 0 if scheme is RC else start, start)
         self.cert.begin(ctx)
         self.table.publish(slot, ctx)
         if self.trace is not None:
@@ -126,9 +125,18 @@ class Engine:
         store = self.store
         record = store.records[key]
         try:
-            version = store.visible_version(ctx, record)
-            own = version.creator_tid == ctx.tid
-            cstamp = 0 if own else store.creation_stamp(version)
+            # A head whose word is at or below begin_stamp is the visible
+            # version, and its word is its stamp: a tid-tagged word is
+            # larger than any stamp, so the head is committed and inside
+            # the snapshot.  Under RC, begin_stamp is 0 and only an initial
+            # head passes.  Every other head goes to the store.
+            version = record._value
+            cstamp = version.cstamp
+            own = False
+            if cstamp > ctx.begin_stamp:
+                version = store.visible_version(ctx, record)
+                own = version.creator_tid == ctx.tid
+                cstamp = 0 if own else store.creation_stamp(version)
             if self.trace is not None:
                 self.trace.read(ctx.tid, ctx.slot, key, version.creator_tid,
                                 cstamp)

@@ -41,14 +41,10 @@ the bare scheme leaves empty.
 from __future__ import annotations
 
 from .kernel import (
-    COMMITTED, INFINITY, RMW_LOCK, TID_TAG, VALUE_MASK, AtomicCell, Scheme,
+    COMMITTED, INFINITY, RMW_LOCK, SI, TID_TAG, VALUE_MASK, AtomicCell,
     TransactionContext, TransactionTable, is_tid, settle, spin_until,
     word_value,
 )
-
-# Enum members are slow to look up as class attributes on CPython 3.11;
-# the read path compares against these module constants instead.
-_SI = Scheme.SI
 
 
 class WriteConflict(Exception):
@@ -136,7 +132,7 @@ class Store:
         inside its snapshot (kernel.settle), because only the verdict decides
         whether the version is part of the snapshot; RC readers never wait.
         """
-        snapshot = ctx.scheme is _SI or ctx.snapshot_mode
+        snapshot = ctx.scheme is SI or ctx.snapshot_mode
         begin_stamp = ctx.begin_stamp
         version = record._value
         while version is not None:
@@ -202,7 +198,7 @@ class Store:
                 head.payload = payload
                 return head
             raise WriteConflict("uncommitted")
-        if ctx.scheme is _SI and head_word & VALUE_MASK > ctx.begin_stamp:
+        if ctx.scheme is SI and head_word & VALUE_MASK > ctx.begin_stamp:
             raise WriteConflict("skew")
         claim = TID_TAG | ctx.tid
         version = VersionMeta(ctx.tid, claim, head, payload)

@@ -15,6 +15,7 @@ from mvcert.kernel import (
     UsageError, is_locked, is_tid, settle, spin_until,
     transition_status, word_value,
 )
+from mvcert.bench import ClientGroup, WorkloadConfig, run_bench
 from mvcert.certifier import overwriter_outcome
 from mvcert.schedulers import CertifierMode, Engine
 from mvcert.store import Store, VersionMeta
@@ -250,9 +251,6 @@ READ_MODIFY_WRITES = {
         AtomicCell.load),
     "AtomicCell.fold_max": (
         lambda: AtomicCell(0), lambda c: c.fold_max(5), AtomicCell.load),
-    "TransactionContext.swap_status": (
-        _ctx, lambda c: c.swap_status(Status.INFLIGHT, Status.COMMITTING),
-        _ctx_words),
     # Peers write only a read-mostly transaction's sstamp (the handshake),
     # so only its owner's fold needs the lock.
     "TransactionContext.fold_sstamp": (
@@ -333,6 +331,32 @@ class TestLockDiscipline:
         assert ctx.fold_sstamp(5) == 5
         assert ctx.fold_sstamp(9) == 5
         assert ctx.sstamp == 5 and lock.seen == []
+
+    def test_an_owner_moves_its_status_without_the_lock(self, monkeypatch):
+        # Only the owner writes its status, so each move is a plain store.
+        committer, aborter = _ctx(), _ctx()
+        lock = _replace_shared_lock(
+            monkeypatch, lambda: (committer.status, aborter.status))
+        transition_status(committer, Status.INFLIGHT, Status.COMMITTING)
+        transition_status(committer, Status.COMMITTING, Status.COMMITTED)
+        transition_status(aborter, Status.INFLIGHT, Status.ABORTED)
+        assert committer.status == Status.COMMITTED
+        assert aborter.status == Status.ABORTED and lock.seen == []
+
+    # Holds of the shared lock in a seeded lone-worker run of 200 commits:
+    # per commit, the tid draw, the clock draw and three appends, plus
+    # SSN's pstamp raise over the read set (5 and 6); publish raises the
+    # table's top once.
+    @pytest.mark.parametrize("certifier, holds", [
+        (CertifierMode.NONE, 5 * 200 + 1), (CertifierMode.SSN, 6 * 200 + 1)])
+    def test_lock_holds_of_a_lone_worker_run(self, monkeypatch, certifier,
+                                              holds):
+        lock = _replace_shared_lock(monkeypatch, lambda: None)
+        stats, _ = run_bench(WorkloadConfig(
+            db_size=1000, groups=[ClientGroup(1, 8, 12, 3)],
+            txns_per_thread=200, seed=1, certifier=certifier))
+        assert stats.committed == 200 and stats.total_aborts == 0
+        assert len(lock.seen) // 2 == holds
 
 
 class TestGlobalClock:

@@ -7,7 +7,7 @@ from mvcert import (
     TransactionAborted, UsageError, WorkloadConfig, check_trace,
     replay_scripted, run_bench,
 )
-from mvcert.kernel import Status
+from mvcert.kernel import Status, transition_status
 from mvcert.trace import TraceLog
 
 SI, RC = Scheme.SI, Scheme.RC
@@ -278,6 +278,90 @@ class TestPlainSchemes:
         assert engine.read(fresh, 0) is None
         events = engine.trace.merged()
         assert [e.kind for e in events if e.tid == ctx.tid][-1] == "abort"
+
+
+def _read_as_the_store_sees_it(engine, ctx, key):
+    """engine.read, checked against the store's own answer at that point:
+    the traced (creator, stamp) row is what visible_version and
+    creation_stamp give, whichever way the engine found the version."""
+    store = engine.store
+    version = store.visible_version(ctx, store.records[key])
+    own = version.creator_tid == ctx.tid
+    expected = (version.creator_tid,
+                0 if own else store.creation_stamp(version))
+    assert engine.read(ctx, key) == version.payload
+    *_, row = engine.trace.merged()
+    assert (row.kind, row.tid, row.key) == ("read", ctx.tid, key)
+    assert (row.ver_creator, row.ver_cstamp) == expected
+    return row
+
+
+def _committed(engine, writes):
+    ctx = engine.begin(3)
+    for key, payload in writes:
+        engine.write(ctx, key, payload)
+    engine.commit(ctx)
+    return ctx
+
+
+@pytest.mark.parametrize("scheme", [SI, RC])
+class TestReadTracesWhatTheStoreSees:
+    def test_committed_heads_inside_and_past_the_snapshot(self, scheme):
+        engine = Engine(3, scheme, NONE, trace=TraceLog())
+        first = _committed(engine, [(0, "a")])
+        reader = engine.begin(0)
+        assert _read_as_the_store_sees_it(engine, reader, 0).ver_cstamp \
+            == first.cstamp
+        assert _read_as_the_store_sees_it(engine, reader, 1).ver_creator == 0
+        later = _committed(engine, [(0, "b"), (1, "c")])
+        # SI keeps the snapshot's versions; RC reads the newer heads.
+        expected = first if scheme is SI else later
+        assert _read_as_the_store_sees_it(engine, reader, 0).ver_creator \
+            == expected.tid
+        _read_as_the_store_sees_it(engine, reader, 1)
+
+    def test_own_write(self, scheme):
+        engine = Engine(2, scheme, NONE, trace=TraceLog())
+        _committed(engine, [(0, "a")])
+        ctx = engine.begin(0)
+        engine.write(ctx, 0, "mine")
+        row = _read_as_the_store_sees_it(engine, ctx, 0)
+        assert (row.ver_creator, row.ver_cstamp) == (ctx.tid, 0)
+
+    def test_a_head_written_by_a_peer_in_flight(self, scheme):
+        engine = Engine(2, scheme, NONE, trace=TraceLog())
+        first = _committed(engine, [(0, "a")])
+        peer = engine.begin(1)
+        engine.write(peer, 0, "pending")
+        reader = engine.begin(0)
+        assert _read_as_the_store_sees_it(engine, reader, 0).ver_creator \
+            == first.tid
+
+    def test_a_head_committed_but_not_yet_finalized(self, scheme):
+        engine = Engine(2, scheme, NONE, trace=TraceLog())
+        _committed(engine, [(0, "a")])
+        peer = engine.begin(1)
+        engine.write(peer, 0, "b")
+        assert engine.cert.pre_commit(peer) is None
+        transition_status(peer, Status.COMMITTING, Status.COMMITTED)
+        reader = engine.begin(0)
+        row = _read_as_the_store_sees_it(engine, reader, 0)
+        assert (row.ver_creator, row.ver_cstamp) == (peer.tid, peer.cstamp)
+        engine.store.finalize_commit(peer)
+        engine.table.clear(peer.slot)
+        assert _read_as_the_store_sees_it(engine, reader, 0) == row._replace(
+            seq=row.seq + 1)
+
+    def test_a_safe_snapshot_query(self, scheme):
+        engine = Engine(2, scheme, SSN, trace=TraceLog())
+        first = _committed(engine, [(0, "a")])
+        engine.take_safe_snapshot()
+        _committed(engine, [(0, "b")])
+        query = engine.begin(0, read_only=True)
+        assert query.snapshot_mode
+        assert _read_as_the_store_sees_it(engine, query, 0).ver_creator \
+            == first.tid
+        assert _read_as_the_store_sees_it(engine, query, 1).ver_creator == 0
 
 
 @pytest.mark.parametrize("certifier", [NONE, SSN, SSI])
