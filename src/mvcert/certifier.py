@@ -384,7 +384,7 @@ class ExclusionCertifier(Certifier):
                 last = table.last_cstamp(slot)
                 if pstamp < last < my_cstamp:
                     pstamp = last
-                reader = table.slots[slot].current
+                reader = table.current[slot]
                 if reader is None:
                     continue
                 stamp = settle(reader, my_cstamp)

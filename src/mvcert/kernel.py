@@ -208,6 +208,11 @@ class TableMode(Enum):
     W = "w"
 
 
+# Every transaction starts with this one empty set of table modes; a scan or
+# a declared mode replaces it with a new set and never mutates it.
+NO_TABLE_MODES = frozenset()
+
+
 class TransactionContext:
     """Per-transaction state, owned by one worker thread.
 
@@ -250,7 +255,7 @@ class TransactionContext:
         self.start_stamp = start_stamp
         self.reads = {}
         self.writes = {}
-        self.table_modes = set()
+        self.table_modes = NO_TABLE_MODES
         self.ssi = None
         self.untracked_reads = 0
         self.observed_violation = False
@@ -340,25 +345,22 @@ def settle(peer: TransactionContext, before: int) -> int:
     return cstamp if cstamp < before else PENDING
 
 
-class _Slot:
-    __slots__ = ("current", "last_cstamp")
-
-    def __init__(self):
-        self.current = None
-        self.last_cstamp = 0
-
-
 class TransactionTable:
     """Thread-indexed registry of in-flight transactions.
 
-    Slot i is written only by worker i; any thread may read any slot.  A
-    transaction id encodes its slot in the low bits, so lookups by tid can
-    detect that the slot has moved on to a newer transaction.  top is one
-    past the highest slot ever published: table walks stop there.
+    Two flat lists indexed by slot: current holds each slot's transaction
+    (None when the slot is free), last_cstamps the largest commit stamp the
+    slot has recorded.  Slot i's items are written only by worker i; any
+    thread may read any slot.  Under the GIL a list item load or store is
+    atomic, so the single-writer rule needs no lock.  A transaction id
+    encodes its slot in the low bits, so lookups by tid can detect that the
+    slot has moved on to a newer transaction.  top is one past the highest
+    slot ever published: table walks stop there.
     """
 
     def __init__(self):
-        self.slots = [_Slot() for _ in range(MAX_WORKERS)]
+        self.current = [None] * MAX_WORKERS
+        self.last_cstamps = [0] * MAX_WORKERS
         self.top = 0
         self._tid_seq = AtomicCell(0)
 
@@ -367,22 +369,21 @@ class TransactionTable:
         return (seq << 6) | slot
 
     def publish(self, slot: int, ctx: TransactionContext) -> None:
-        entry = self.slots[slot]
-        if entry.current is not None:
+        if self.current[slot] is not None:
             raise UsageError("worker slot %d already occupied" % slot)
         if slot >= self.top:
             with RMW_LOCK:
                 self.top = max(self.top, slot + 1)
-        entry.current = ctx
+        self.current[slot] = ctx
 
     def peer_reads(self, skip: int, plain_inflight: bool) -> list:
         """(slot, read set) of each current transaction outside slot skip;
         plain_inflight=False leaves out in-flight peers that are not
         read-mostly.  This is the one walk of the table."""
         found = []
-        slots = self.slots
+        current = self.current
         for slot in range(self.top):
-            peer = slots[slot].current
+            peer = current[slot]
             if peer is None or slot == skip or not (
                     plain_inflight or peer.read_mostly
                     or peer.status != INFLIGHT):
@@ -399,19 +400,18 @@ class TransactionTable:
         return bits
 
     def clear(self, slot: int) -> None:
-        self.slots[slot].current = None
+        self.current[slot] = None
 
     def get(self, tid: int) -> TransactionContext | None:
         """Context for tid, or None if that transaction has concluded."""
-        ctx = self.slots[tid & SLOT_MASK].current
+        ctx = self.current[tid & SLOT_MASK]
         if ctx is not None and ctx.tid == tid:
             return ctx
         return None
 
     def record_commit_stamp(self, slot: int, cstamp: int) -> None:
-        entry = self.slots[slot]
-        if cstamp > entry.last_cstamp:
-            entry.last_cstamp = cstamp
+        if cstamp > self.last_cstamps[slot]:
+            self.last_cstamps[slot] = cstamp
 
     def last_cstamp(self, slot: int) -> int:
-        return self.slots[slot].last_cstamp
+        return self.last_cstamps[slot]

@@ -190,14 +190,13 @@ class Engine:
         self._require_inflight(ctx)
         if self.certifier is not CertifierMode.SSN:
             raise UsageError("table scans need the ssn certifier")
-        ctx.table_modes.add(TableMode.R)
+        ctx.table_modes = ctx.table_modes | {TableMode.R}
         ctx.read_mostly = True
         return [self.read(ctx, key) for key in range(len(self.store.records))]
 
     def declare_table_mode(self, ctx: TransactionContext, *modes) -> None:
         self._require_inflight(ctx)
-        for mode in modes:
-            ctx.table_modes.add(TableMode(mode))
+        ctx.table_modes = ctx.table_modes | {TableMode(mode) for mode in modes}
 
     def take_safe_snapshot(self) -> int:
         """Publish a safe snapshot; returns its stamp."""

@@ -31,6 +31,12 @@ unlink.  The store therefore holds no reference cycle, and reference
 counting frees a dropped engine, or a cut chain tail, without the cyclic
 collector.
 
+For the same reason a collection during a store's build can find nothing,
+yet a large build would trip hundreds of them.  Store.__init__ therefore
+builds with the collector paused and then promotes the new records to the
+oldest generation without walking them; its docstring says why both are
+sound.
+
 The store keeps no certifier state beyond these words.  A reader bit marks an
 untracked read, one kept out of the read set (SSN's read-mostly filter), and
 is never cleared; tracked readers are found through the transaction table.
@@ -39,6 +45,8 @@ the bare scheme leaves empty.
 """
 
 from __future__ import annotations
+
+import gc
 
 from .kernel import (
     COMMITTED, INFINITY, RMW_LOCK, SI, TID_TAG, VALUE_MASK, AtomicCell,
@@ -105,9 +113,30 @@ class Store:
     """
 
     def __init__(self, size: int, table: TransactionTable):
+        """Build size records, each with its initial version.
+
+        While the collector is on and nothing is frozen, the records are
+        built with it paused, and then every object the collector tracks is
+        promoted to the oldest generation, which also resets the young
+        count.  The pause is sound because the records form no cycle:
+        reference counting alone frees them.  The promotion is sound
+        because a full collection still examines the oldest generation, so
+        any garbage promoted along with the records is found there.  A
+        collector the caller disabled, or objects the caller froze, are left
+        as they are, and the build then runs unchanged.
+        """
         if size < 1:
             raise ValueError("store needs at least one record")
-        self.records = [Record() for _ in range(size)]
+        pause = gc.isenabled() and not gc.get_freeze_count()
+        if pause:
+            gc.disable()
+        try:
+            self.records = [Record() for _ in range(size)]
+        finally:
+            if pause:
+                gc.freeze()
+                gc.unfreeze()
+                gc.enable()
         # Largest commit stamp of a table scan: the access stamp of the
         # whole table, which table updates fold into their pstamp.
         self.table_pstamp = AtomicCell(0)

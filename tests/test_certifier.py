@@ -713,6 +713,18 @@ class TestTableModes:
         assert scanner.status == Status.COMMITTED
         assert engine.store.table_pstamp.load() == scanner.cstamp
 
+    def test_a_scan_leaves_a_later_transactions_modes_empty(self):
+        # Every context starts from one shared empty set of modes, so a
+        # scan must replace its transaction's set, never add to it.
+        engine = Engine(4, SI, SSN)
+        scanner = engine.begin(0)
+        engine.scan(scanner)
+        engine.declare_table_mode(scanner, TableMode.W)
+        engine.commit(scanner)
+        assert scanner.table_modes == {TableMode.R, TableMode.W}
+        for slot in (0, 1):
+            assert not engine.begin(slot).table_modes
+
     def test_point_read_after_a_scan_is_untracked(self):
         engine = Engine(4, SI, SSN, read_mostly_threshold=0)
         seed = engine.begin(0)

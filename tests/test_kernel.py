@@ -532,7 +532,7 @@ class TestTransactionTable:
         # Without plain in-flight peers: the read-mostly one stays, and the
         # plain one counts again once it is committing.
         assert table.reader_slots(version, False) == 1 << 2
-        table.slots[5].current.status = Status.COMMITTING
+        table.current[5].status = Status.COMMITTING
         assert table.reader_slots(version, False) == 1 << 5 | 1 << 2
         table.clear(5)
         assert table.reader_slots(version) == 1 << 2

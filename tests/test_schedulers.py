@@ -446,7 +446,7 @@ class TestFailureAtomicity:
         assert engine.store.records[1].load() is old
         assert engine.store.records[2].load() is untouched
         assert old.sstamp == untouched.sstamp == INFINITY
-        assert engine.table.slots[1].current is None
+        assert engine.table.current[1] is None
         later = engine.begin(1)                 # the slot is free again
         engine.write(later, 1, "new")           # and no dead head blocks it
         engine.commit(later)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import pytest
 
+import mvcert.store
+
 from mvcert.kernel import (
     INFINITY, TID_TAG, Scheme, Status, TransactionContext, TransactionTable,
     is_tid, transition_status, word_value,
@@ -322,3 +324,69 @@ class TestReclamation:
             tracemalloc.stop()
         assert built > 200_000 * 64
         assert left < 64 * 1024
+
+
+class TestCollectorPause:
+    """Store construction runs no collection, then promotes the new records
+    to the oldest generation, and leaves the collector as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def collected(self):
+        gc.collect()
+
+    def test_a_build_runs_no_collection(self, table):
+        collections = []
+
+        def hook(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.callbacks.append(hook)
+        try:
+            Store(5_000, table)
+        finally:
+            gc.callbacks.remove(hook)
+        assert collections == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_build_leaves_the_collector_as_it_was(self, table, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            Store(100, table)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert gc.get_freeze_count() == 0
+
+    def test_every_record_and_initial_version_is_in_the_oldest_generation(
+            self, table):
+        store = Store(5_000, table)
+        oldest = {id(obj) for obj in gc.get_objects(generation=2)}
+        assert all(id(record) in oldest and id(record.load()) in oldest
+                   for record in store.records)
+
+    def test_a_callers_frozen_objects_stay_frozen(self, table):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            Store(100, table)
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    def test_a_failed_build_restores_the_collector(self, table, monkeypatch):
+        built = []
+
+        def failing_record():
+            if len(built) == 50:
+                raise MemoryError("build failed")
+            built.append(None)
+            return mvcert.store.AtomicCell()
+
+        monkeypatch.setattr(mvcert.store, "Record", failing_record)
+        with pytest.raises(MemoryError):
+            Store(100, table)
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
