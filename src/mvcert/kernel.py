@@ -3,9 +3,11 @@
 Everything here is shared, mutable state touched by up to 64 worker threads.
 The concurrency contract is deliberately narrow: under CPython the GIL makes
 single-attribute loads and stores atomic, and one module-wide lock, RMW_LOCK,
-serializes every read-modify-write cycle of a cross-thread word; all waiting
-is bounded spinning.  Shared words are plain slots of the object that owns
-them: a transaction's status, cstamp and sstamp and the table's top here, a
+serializes every read-modify-write cycle of a cross-thread word but one: the
+tid sequence is an itertools.count, whose next() is one C call that runs no
+bytecode, so the GIL alone makes each draw atomic.  All waiting is bounded
+spinning.  Shared words are plain slots of the object that owns them: a
+transaction's status, cstamp and sstamp and the table's top here, a
 version's stamps and reader bits in store.py.  Their read-modify-writes are
 methods of that owner that run under RMW_LOCK (a transaction's sstamp
 min-fold, seal and handshake CAS, and the table's raise of top).  A word
@@ -16,10 +18,10 @@ transaction folds its sstamp with a plain store too.
 AtomicCells (plain load/store plus locked fetch-add, fetch-or,
 compare-and-swap) remain only where a word stands alone: each record, which
 is the cell holding the newest version of its chain, the table pstamp, the
-clock, the tid sequence and the SSI inbound flags; a record's cell changes
-together with a version's claim, in one hold of the lock (store.py).  The
-lock is not reentrant, so no read-modify-write may run another while it
-holds the lock.
+clock and the SSI inbound flags; a record's cell changes together with a
+version's claim, in one hold of the lock (store.py).  The lock is not
+reentrant, so no read-modify-write may run another while it holds the
+lock.
 Every wait for a peer's pre-commit verdict goes through one function,
 settle, which waits only on a peer that holds a smaller commit stamp.
 
@@ -40,6 +42,7 @@ tests: is_tid, is_locked and word_value.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from enum import Enum, IntEnum
@@ -70,12 +73,13 @@ class TransactionAborted(Exception):
     """Raised whenever a transaction cannot continue; carries the cause.
 
     reason is one of: cc_conflict, ssn_exclusion, ssi_dangerous,
-    safe_snapshot, user.
+    safe_snapshot, user.  It is the exception's one argument; the class
+    defines no __init__, so raising one runs no bytecode to build it.
     """
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    @property
+    def reason(self) -> str:
+        return self.args[0]
 
 
 def is_tid(word: int) -> bool:
@@ -362,11 +366,12 @@ class TransactionTable:
         self.current = [None] * MAX_WORKERS
         self.last_cstamps = [0] * MAX_WORKERS
         self.top = 0
-        self._tid_seq = AtomicCell(0)
+        self._tid_seq = itertools.count(1)
 
     def allocate_tid(self, slot: int) -> int:
-        seq = self._tid_seq.fetch_add(1) + 1
-        return (seq << 6) | slot
+        # next() on a count is one C call that runs no bytecode, so under
+        # the GIL it is an atomic fetch-and-add without the lock.
+        return next(self._tid_seq) << 6 | slot
 
     def publish(self, slot: int, ctx: TransactionContext) -> None:
         if self.current[slot] is not None:

@@ -40,7 +40,7 @@ from .kernel import (
     UsageError, transition_status,
 )
 from .store import Store, WriteConflict
-from .trace import TraceLog
+from .trace import ABORT, COMMIT, READ, REASON_INDEX, WRITE, TraceLog, pack_row
 
 
 class CertifierMode(Enum):
@@ -68,7 +68,11 @@ class Engine:
         self.clock = GlobalClock()
         self.table = TransactionTable()
         self.store = Store(db_size, self.table)
+        self.records = self.store.records
         self.trace = trace
+        # Each event packs its row where it happens and appends it with
+        # the log's one C call (trace.py); None when nothing is traced.
+        self._emit = None if trace is None else trace.append
         self.latch = threading.Lock() if serial_commit else None
         if certifier is CertifierMode.SSN:
             self.cert = ExclusionCertifier(
@@ -90,8 +94,9 @@ class Engine:
                                  0 if scheme is RC else start, start)
         self.cert.begin(ctx)
         self.table.publish(slot, ctx)
-        if self.trace is not None:
-            self.trace.begin(tid, slot)
+        emit = self._emit
+        if emit is not None:
+            emit(pack_row(slot << 3, tid, 0, 0, 0))
         return ctx
 
     def abort(self, ctx: TransactionContext) -> None:
@@ -103,8 +108,10 @@ class Engine:
         """Abort ctx and undo its effects; reason None writes no trace line."""
         transition_status(ctx, from_status, ABORTED)
         self.store.rollback(ctx)
-        if self.trace is not None and reason is not None:
-            self.trace.abort(ctx.tid, ctx.slot, reason)
+        emit = self._emit
+        if emit is not None and reason is not None:
+            emit(pack_row(ctx.slot << 3 | ABORT, ctx.tid, REASON_INDEX[reason],
+                          0, 0))
         self.table.clear(ctx.slot)
 
     def _fail(self, ctx, reason, from_status=INFLIGHT):
@@ -122,8 +129,7 @@ class Engine:
     def read(self, ctx: TransactionContext, key: int):
         if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
-        store = self.store
-        record = store.records[key]
+        record = self.records[key]
         try:
             # A head whose word is at or below begin_stamp is the visible
             # version, and its word is its stamp: a tid-tagged word is
@@ -134,12 +140,14 @@ class Engine:
             cstamp = version.cstamp
             own = False
             if cstamp > ctx.begin_stamp:
+                store = self.store
                 version = store.visible_version(ctx, record)
                 own = version.creator_tid == ctx.tid
                 cstamp = 0 if own else store.creation_stamp(version)
-            if self.trace is not None:
-                self.trace.read(ctx.tid, ctx.slot, key, version.creator_tid,
-                                cstamp)
+            emit = self._emit
+            if emit is not None:
+                emit(pack_row(ctx.slot << 3 | READ, ctx.tid, key,
+                              version.creator_tid, cstamp))
             if not own:
                 cause = self.cert.on_read(ctx, version, cstamp)
                 if cause is not None:
@@ -157,14 +165,15 @@ class Engine:
             raise UsageError("snapshot queries are read-only")
         if payload is None:
             payload = ctx.tid
-        record = self.store.records[key]
+        record = self.records[key]
         try:
             version = self.store.install_version(ctx, record, payload)
-            if self.trace is not None:
+            emit = self._emit
+            if emit is not None:
                 prev = version.prev
                 # prev is committed, so its word is untagged: the stamp.
-                self.trace.write(ctx.tid, ctx.slot, key, prev.creator_tid,
-                                 prev.cstamp)
+                emit(pack_row(ctx.slot << 3 | WRITE, ctx.tid, key,
+                              prev.creator_tid, prev.cstamp))
             # A repeated overwrite replaced the payload in place: nothing new.
             if version not in ctx.writes:
                 ctx.writes[version] = record
@@ -192,7 +201,7 @@ class Engine:
             raise UsageError("table scans need the ssn certifier")
         ctx.table_modes = ctx.table_modes | {TableMode.R}
         ctx.read_mostly = True
-        return [self.read(ctx, key) for key in range(len(self.store.records))]
+        return [self.read(ctx, key) for key in range(len(self.records))]
 
     def declare_table_mode(self, ctx: TransactionContext, *modes) -> None:
         self._require_inflight(ctx)
@@ -213,7 +222,8 @@ class Engine:
         With serial_commit, every commit but a safe-snapshot query's holds
         the engine's latch from pre-commit through post-commit or rollback.
         """
-        self._require_inflight(ctx)
+        if ctx.status != INFLIGHT:
+            raise UsageError("transaction %d is not in flight" % ctx.tid)
         latch = self.latch
         if latch is not None and not ctx.snapshot_mode:
             with latch:
@@ -228,6 +238,14 @@ class Engine:
         cleaned up), aborts the transaction the way a refused commit does,
         then propagates.  No abort line is traced: the trace format has no
         reason for it, and the oracle ignores unfinished transactions.
+
+        Post-commit fails loudly and leaves the slot marked.  An exception
+        after the COMMITTED transition (in finalize_commit or the
+        certifier's post_commit) propagates, and nothing is undone: the
+        commit line is already traced, the context stays COMMITTED, and it
+        keeps its slot.  Peers still resolve its tid-tagged versions through
+        the table, so readers see its writes, a writer of one of its keys
+        aborts with cc_conflict, and the slot cannot begin again.
         """
         try:
             cause = self.cert.pre_commit(ctx)
@@ -239,8 +257,9 @@ class Engine:
                 self._abort_cleanup(ctx, None, COMMITTING)
             raise
         cstamp = ctx.cstamp
-        if self.trace is not None:
-            self.trace.commit(ctx.tid, ctx.slot, cstamp)
+        emit = self._emit
+        if emit is not None:
+            emit(pack_row(ctx.slot << 3 | COMMIT, ctx.tid, 0, 0, cstamp))
         self.store.finalize_commit(ctx)
         self.cert.post_commit(ctx)
         self.table.clear(ctx.slot)

@@ -56,11 +56,15 @@ from .kernel import (
 
 
 class WriteConflict(Exception):
-    """Install refused: uncommitted write-write overlap or temporal skew."""
+    """Install refused: uncommitted write-write overlap or temporal skew.
 
-    def __init__(self, kind: str):
-        super().__init__(kind)
-        self.kind = kind
+    kind, "uncommitted" or "skew", is the exception's one argument; like
+    TransactionAborted, the class defines no __init__.
+    """
+
+    @property
+    def kind(self) -> str:
+        return self.args[0]
 
 
 class VersionMeta:

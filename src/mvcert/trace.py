@@ -19,13 +19,15 @@ shared array('q') of five words per event:
 
     (thread << 3 | kind code, tid, key or abort reason index, creator, stamp)
 
-Each emit packs its row into 40 bytes and appends them with one
-array.frombytes call.  That call runs no bytecode, so under the GIL no
-other thread can run between the first and the last word of a row: rows
-never interleave, and array order is real-time emit order, so any
-referenced version was created by an earlier line.  The thread is packed
-into the kind word rather than taken from the tid's low bits, so
-hand-built logs may use any tids.
+The engine packs each row where its event happens, into 40 bytes with
+pack_row, and appends them with one array.frombytes call (TraceLog.append).
+That call runs no bytecode, so under the GIL no other thread can run
+between the first and the last word of a row: rows never interleave, and
+array order is real-time emit order, so any referenced version was created
+by an earlier line.  TraceLog's emit methods pack the same rows from their
+arguments; they serve hand-built logs.  The thread is packed into the kind
+word rather than taken from the tid's low bits, so hand-built logs may use
+any tids.
 
 Files stream both ways: write_trace renders one line at a time, and
 parse_trace and read_trace yield one event at a time, so neither the trace
@@ -68,17 +70,22 @@ class MalformedTrace(ValueError):
 
 # Kind codes of the log's first word; the thread sits above its low 3 bits.
 _KINDS = ("begin", "read", "write", "commit", "abort")
-_BEGIN, _READ, _WRITE, _COMMIT, _ABORT = range(len(_KINDS))
-_pack = struct.Struct("5q").pack   # one row, in array("q")'s byte layout
-_REASON_INDEX = {reason: index for index, reason in enumerate(ABORT_REASONS)}
+BEGIN, READ, WRITE, COMMIT, ABORT = range(len(_KINDS))
+# One row, in array("q")'s byte layout: pack_row(thread << 3 | kind, tid,
+# key or reason index, creator, stamp).
+pack_row = struct.Struct("5q").pack
+REASON_INDEX = {reason: index for index, reason in enumerate(ABORT_REASONS)}
 
 
 class TraceLog:
     """One shared array of five int64 words per emitted event.
 
-    The abort reason is stored as its index into ABORT_REASONS; unused
-    fields are 0.  A field that is no int64 makes the emit raise before
-    anything is appended, so a row is always whole.
+    append takes one packed row (pack_row) and extends the array with it;
+    the engine packs and appends its rows itself.  The emit methods pack
+    the same rows from their arguments, for hand-built logs.  The abort
+    reason is stored as its index into ABORT_REASONS; unused fields are 0.
+    A field that is no int64 makes pack_row raise before anything is
+    appended, so a row is always whole.
     """
 
     def __init__(self):
@@ -86,25 +93,25 @@ class TraceLog:
         # which adds about 0.3 MB to their peak RSS.
         from array import array
         self._words = array("q")
-        self._append = self._words.frombytes
+        self.append = self._words.frombytes
 
     def begin(self, tid, thread):
-        self._append(_pack(thread << 3, tid, 0, 0, 0))
+        self.append(pack_row(thread << 3, tid, 0, 0, 0))
 
     def read(self, tid, thread, key, ver_creator, ver_cstamp):
-        self._append(_pack(thread << 3 | _READ, tid, key, ver_creator,
-                           ver_cstamp))
+        self.append(pack_row(thread << 3 | READ, tid, key, ver_creator,
+                             ver_cstamp))
 
     def write(self, tid, thread, key, prev_creator, prev_cstamp):
-        self._append(_pack(thread << 3 | _WRITE, tid, key, prev_creator,
-                           prev_cstamp))
+        self.append(pack_row(thread << 3 | WRITE, tid, key, prev_creator,
+                             prev_cstamp))
 
     def commit(self, tid, thread, cstamp):
-        self._append(_pack(thread << 3 | _COMMIT, tid, 0, 0, cstamp))
+        self.append(pack_row(thread << 3 | COMMIT, tid, 0, 0, cstamp))
 
     def abort(self, tid, thread, reason):
-        self._append(_pack(thread << 3 | _ABORT, tid, _REASON_INDEX[reason],
-                           0, 0))
+        self.append(pack_row(thread << 3 | ABORT, tid, REASON_INDEX[reason],
+                             0, 0))
 
     def merged(self) -> TraceView:
         """A read-only view of the events emitted so far, in emit order."""
@@ -132,15 +139,15 @@ class TraceView:
         for seq, head, tid, field, creator, stamp in zip(
                 range(self._count), words, words, words, words, words):
             code, thread = head & 7, head >> 3
-            if code == _READ or code == _WRITE:
+            if code == READ or code == WRITE:
                 yield _new(TraceEvent, (
                     seq, _KINDS[code], tid, thread,
                     field, creator, stamp, None, None))
-            elif code == _BEGIN:
+            elif code == BEGIN:
                 yield _new(TraceEvent, (
                     seq, "begin", tid, thread,
                     None, None, None, None, None))
-            elif code == _COMMIT:
+            elif code == COMMIT:
                 yield _new(TraceEvent, (
                     seq, "commit", tid, thread,
                     None, None, None, stamp, None))

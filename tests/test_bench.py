@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import os
+import pickle
 import random
 import struct
 import subprocess
@@ -20,6 +21,7 @@ from mvcert.bench import _sample_program
 from mvcert.cli import main
 from mvcert.kernel import VALUE_MASK, TransactionAborted
 from mvcert.schedulers import Engine
+from mvcert.store import WriteConflict
 from mvcert.trace import (
     ABORT_REASONS, MalformedTrace, TraceEvent, parse_trace, read_trace,
     render_event, render_trace,
@@ -409,6 +411,91 @@ class TestTraceRoundTrip:
             list(parse_trace(["begin 1 0", line]))
         assert str(caught.value).startswith(message)
         assert caught.value.index == 1
+
+
+def _refused(call, *args):
+    with pytest.raises(TransactionAborted) as failure:
+        call(*args)
+    return failure.value.reason
+
+
+class TestEngineRows:
+    def test_engine_rows_equal_the_emit_methods_rows(self):
+        # The engine packs its rows inline; they must be the very words the
+        # TraceLog methods append for the same events.  Two engines share
+        # one log, so every kind and every abort reason lands in it.
+        log = TraceLog()
+        engine = Engine(3, Scheme.SI, CertifierMode.SSN, trace=log)
+        first = engine.begin(0)
+        engine.read(first, 0)
+        engine.write(first, 1, "a")
+        engine.commit(first)                                # stamp 1
+        loser, user = engine.begin(1), engine.begin(2)
+        engine.read(loser, 1)
+        engine.write(user, 1, "b")
+        assert _refused(engine.write, loser, 1, "c") == "cc_conflict"
+        engine.abort(user)
+        left, right = engine.begin(0), engine.begin(1)      # write skew
+        engine.read(left, 0)
+        engine.read(right, 2)
+        engine.write(left, 2, "d")
+        engine.write(right, 0, "e")
+        engine.commit(left)                                 # stamp 2
+        assert _refused(engine.commit, right) == "ssn_exclusion"  # 3
+        writer = engine.begin(0)
+        engine.read(writer, 2)
+        overwriter = engine.begin(1)
+        engine.write(overwriter, 2, "f")
+        engine.commit(overwriter)                           # stamp 4
+        engine.take_safe_snapshot()                         # stamp 5
+        engine.write(writer, 1, "g")
+        assert _refused(engine.commit, writer) == "safe_snapshot"
+        ssi = Engine(2, Scheme.SI, CertifierMode.SSI, trace=log)
+        pivot_in, pivot = ssi.begin(0), ssi.begin(1)
+        ssi.read(pivot_in, 0)
+        ssi.read(pivot, 1)
+        ssi.write(pivot_in, 1, "h")
+        ssi.write(pivot, 0, "i")
+        ssi.commit(pivot_in)                                # stamp 1
+        assert _refused(ssi.commit, pivot) == "ssi_dangerous"
+
+        expected = TraceLog()
+        for kind, *args in [
+                ("begin", 64, 0), ("read", 64, 0, 0, 0, 0),
+                ("write", 64, 0, 1, 0, 0), ("commit", 64, 0, 1),
+                ("begin", 129, 1), ("begin", 194, 2),
+                ("read", 129, 1, 1, 64, 1), ("write", 194, 2, 1, 64, 1),
+                ("abort", 129, 1, "cc_conflict"), ("abort", 194, 2, "user"),
+                ("begin", 256, 0), ("begin", 321, 1),
+                ("read", 256, 0, 0, 0, 0), ("read", 321, 1, 2, 0, 0),
+                ("write", 256, 0, 2, 0, 0), ("write", 321, 1, 0, 0, 0),
+                ("commit", 256, 0, 2), ("abort", 321, 1, "ssn_exclusion"),
+                ("begin", 384, 0), ("read", 384, 0, 2, 256, 2),
+                ("begin", 449, 1), ("write", 449, 1, 2, 256, 2),
+                ("commit", 449, 1, 4), ("write", 384, 0, 1, 64, 1),
+                ("abort", 384, 0, "safe_snapshot"),
+                ("begin", 64, 0), ("begin", 129, 1),
+                ("read", 64, 0, 0, 0, 0), ("read", 129, 1, 1, 0, 0),
+                ("write", 64, 0, 1, 0, 0), ("write", 129, 1, 0, 0, 0),
+                ("commit", 64, 0, 1), ("abort", 129, 1, "ssi_dangerous")]:
+            getattr(expected, kind)(*args)
+        assert {event.reason for event in expected.merged()} == {
+            None, *ABORT_REASONS}
+        assert log._words == expected._words
+
+    @pytest.mark.parametrize("error, field, cause", [
+        (TransactionAborted, "reason", "ssn_exclusion"),
+        (WriteConflict, "kind", "skew"),
+    ])
+    def test_abort_exceptions_carry_their_cause(self, error, field, cause):
+        # Built by BaseException's own constructor: no Python __init__.
+        assert "__init__" not in vars(error)
+        raised = error(cause)
+        copy = pickle.loads(pickle.dumps(raised))
+        for exception in (raised, copy):
+            assert type(exception) is error
+            assert getattr(exception, field) == cause
+            assert exception.args == (cause,) and str(exception) == cause
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

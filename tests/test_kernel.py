@@ -344,11 +344,11 @@ class TestLockDiscipline:
         assert aborter.status == Status.ABORTED and lock.seen == []
 
     # Holds of the shared lock in a seeded lone-worker run of 200 commits:
-    # per commit, the tid draw, the clock draw and three appends, plus
-    # SSN's pstamp raise over the read set (5 and 6); publish raises the
-    # table's top once.
+    # per commit, the clock draw and three appends, plus SSN's pstamp raise
+    # over the read set (4 and 5); the tid draw takes no lock; publish
+    # raises the table's top once.
     @pytest.mark.parametrize("certifier, holds", [
-        (CertifierMode.NONE, 5 * 200 + 1), (CertifierMode.SSN, 6 * 200 + 1)])
+        (CertifierMode.NONE, 4 * 200 + 1), (CertifierMode.SSN, 5 * 200 + 1)])
     def test_lock_holds_of_a_lone_worker_run(self, monkeypatch, certifier,
                                               holds):
         lock = _replace_shared_lock(monkeypatch, lambda: None)
@@ -491,6 +491,34 @@ class TestStatusMachine:
 
 
 class TestTransactionTable:
+    def test_concurrent_tid_draws_are_unique_and_keep_the_slot(self):
+        table = TransactionTable()
+        draws = [[] for _ in range(8)]
+
+        def worker(slot):
+            bucket = draws[slot]
+            for _ in range(50_000):
+                bucket.append(table.allocate_tid(slot))
+
+        threads = [threading.Thread(target=worker, args=(slot,))
+                   for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        merged = [tid for bucket in draws for tid in bucket]
+        assert len(merged) == len(set(merged)) == 400_000
+        # The sequence above the slot bits hands out 1..400,000 once each.
+        assert sorted(tid >> 6 for tid in merged) == list(range(1, 400_001))
+        for slot, bucket in enumerate(draws):
+            assert all(tid & 63 == slot for tid in bucket)
+
     def test_publish_and_lookup(self):
         table = TransactionTable()
         tid = table.allocate_tid(3)

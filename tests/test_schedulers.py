@@ -8,6 +8,7 @@ from mvcert import (
     replay_scripted, run_bench,
 )
 from mvcert.kernel import Status, transition_status
+from mvcert.store import Store
 from mvcert.trace import TraceLog
 
 SI, RC = Scheme.SI, Scheme.RC
@@ -454,3 +455,31 @@ class TestFailureAtomicity:
         events = engine.trace.merged()
         assert "abort" not in [e.kind for e in events if e.tid == ctx.tid]
         assert check_trace(events).clean
+
+    def test_an_error_after_commit_fails_loudly_and_keeps_the_slot(
+            self, monkeypatch):
+        engine = Engine(3, SI, SSN, trace=TraceLog())
+        ctx = engine.begin(0)
+        engine.write(ctx, 1, "kept")
+
+        def explode(self, ctx):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(Store, "finalize_commit", explode)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.commit(ctx)
+        monkeypatch.undo()
+
+        assert ctx.status == Status.COMMITTED and ctx.cstamp > 0
+        assert engine.table.current[0] is ctx
+        # The version keeps its tid tag; peers resolve it through the table.
+        assert engine.read(engine.begin(1), 1) == "kept"
+        writer = engine.begin(2)
+        with pytest.raises(TransactionAborted) as failure:
+            engine.write(writer, 1, "blocked")
+        assert failure.value.reason == "cc_conflict"
+        with pytest.raises(UsageError, match="slot 0 already occupied"):
+            engine.begin(0)
+        events = engine.trace.merged()
+        assert [e.kind for e in events if e.tid == ctx.tid] == [
+            "begin", "write", "commit"]
