@@ -7,8 +7,8 @@ through five hooks, without asking which certifier it has:
     begin(ctx)                     a transaction starts
     on_read(ctx, version, cstamp)  ctx read a committed foreign version
     on_write(ctx, version)         ctx installed a fresh version
-    pre_commit(ctx)                the COMMITTING transition, the commit
-                                   stamp draw and the verdict
+    pre_commit(ctx)                after the Engine's COMMITTING
+                                   transition: the stamp draw and the verdict
     post_commit(ctx)               the commit is final and stamped
 
 on_read, on_write and pre_commit return an abort cause, or None to go on.
@@ -29,13 +29,12 @@ a potential dependency cycle, so it aborts:
 
     violation  <=>  sstamp <= pstamp
 
-No certifier takes a lock around a commit; whether commits may overlap is
-the Engine's choice.  An overwrite word in a read set may carry an
-overwriter's transaction id instead of a final stamp.  overwriter_outcome
-is the one place that resolves it, through the transaction table with
-kernel.settle, waiting only on peers that already hold a smaller commit
-stamp and are still mid-commit.  When the Engine runs one commit at a time
-no overwriter is mid-commit, and the same code gives the reference verdict.
+No certifier takes a lock around a commit or moves a status; both are the
+Engine's.  An overwrite word in a read set may carry an overwriter's
+transaction id instead of a final stamp.  overwriter_outcome is the one
+place that resolves it, through the transaction table with kernel.settle
+(kernel rule 6).  When the Engine runs one commit at a time no overwriter
+is mid-commit, and the same code gives the reference verdict.
 After the read set, SSN's pre-commit runs the reader sweep and handshake,
 the table and snapshot pstamps, the seal of a read-mostly transaction's
 sstamp, and the window test.
@@ -64,10 +63,9 @@ keeps only the set of versions that committed pivots overwrote.
 from __future__ import annotations
 
 from .kernel import (
-    COMMITTING, INFINITY, INFLIGHT, LOCK_BIT, PENDING, SI, TID_TAG,
-    VALUE_MASK, AtomicCell, GlobalClock, TableMode, TransactionContext,
-    TransactionTable, is_tid, settle, spin_until, transition_status,
-    word_value,
+    INFINITY, LOCK_BIT, PENDING, SI, TID_TAG, VALUE_MASK, AtomicCell,
+    GlobalClock, TableMode, TransactionContext, TransactionTable, is_tid,
+    settle, spin_until, word_value,
 )
 from .store import Store, VersionMeta
 
@@ -135,7 +133,6 @@ class Certifier:
         return None
 
     def pre_commit(self, ctx: TransactionContext) -> str | None:
-        transition_status(ctx, INFLIGHT, COMMITTING)
         cstamp = self.clock.next()
         ctx.cstamp = cstamp
         ctx.fold_sstamp(cstamp)
@@ -269,7 +266,6 @@ class ExclusionCertifier(Certifier):
 
     def pre_commit(self, ctx: TransactionContext) -> str | None:
         if ctx.snapshot_mode:
-            transition_status(ctx, INFLIGHT, COMMITTING)
             ctx.cstamp = ctx.begin_stamp
             return None
         self.acquire_commit_stamp(ctx)
@@ -280,8 +276,7 @@ class ExclusionCertifier(Certifier):
         return cause
 
     def acquire_commit_stamp(self, ctx: TransactionContext) -> None:
-        """COMMITTING transition, then the stamp draw; the order is
-        mandatory (kernel.settle).  The stamp then caps sstamp: no successor
+        """Draw the commit stamp, which then caps sstamp: no successor
         watermark exceeds it.
 
         A transaction with an empty write set under SI reuses its snapshot
@@ -293,7 +288,6 @@ class ExclusionCertifier(Certifier):
         a fresh stamp turns the conflict into an ordinary back edge that
         pre-commit certifies.
         """
-        transition_status(ctx, INFLIGHT, COMMITTING)
         if (not ctx.writes and ctx.scheme is SI
                 and ctx.begin_stamp > 0 and ctx.untracked_reads == 0
                 and all(v.sstamp == INFINITY for v in ctx.reads)):
@@ -496,23 +490,24 @@ class SsiCertifier(Certifier):
                 del reads[version]
             return self._committed_overwrite(ctx, version, value)
         if kind == "pending":
-            if self._mark_inbound(ctx, value):
-                return "ssi_dangerous"
-            ctx.ssi.out_rw = True
+            return self._pending_overwrite(ctx, value)
         return None
 
-    def _mark_inbound(self, ctx: TransactionContext,
-                      peer: TransactionContext) -> bool:
-        """Record that peer has an inbound anti-dependency (from ctx).
+    def _pending_overwrite(self, ctx: TransactionContext,
+                           peer: TransactionContext) -> str | None:
+        """ctx read a version that peer overwrites and has not committed
+        below ctx: mark peer's inbound flag, else set ctx's outbound flag.
 
         If peer already took its commit decision the mark arrived too late;
-        when the flags peer froze make it a committed pivot, the marker is
-        the only transaction left that can break the structure, so the
-        result is True and it must abort (conservatively even if peer itself
-        ended up aborting).
+        when the flags peer froze make it a committed pivot, ctx is the only
+        transaction left that can break the structure, so it aborts
+        (conservatively even if peer itself ended up aborting).
         """
         seen = peer.ssi.in_rw.fetch_or(IN_RW)
-        return bool(seen & DECIDED) and peer.ssi.committed_pivot(peer.cstamp)
+        if seen & DECIDED and peer.ssi.committed_pivot(peer.cstamp):
+            return "ssi_dangerous"
+        ctx.ssi.out_rw = True
+        return None
 
     def _committed_overwrite(self, ctx: TransactionContext,
                              version: VersionMeta, word: int) -> str | None:
@@ -545,9 +540,9 @@ class SsiCertifier(Certifier):
                 if value.ssi.committed_pivot(value.cstamp):
                     return "ssi_dangerous"
             elif kind == "pending":
-                if self._mark_inbound(ctx, value):
-                    return "ssi_dangerous"
-                ssi.out_rw = True
+                cause = self._pending_overwrite(ctx, value)
+                if cause is not None:
+                    return cause
         cstamp = ctx.cstamp
         decision = ssi.in_rw.fetch_or(DECIDED)
         pivot = ssi.committed_pivot(cstamp)

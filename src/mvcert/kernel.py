@@ -1,29 +1,34 @@
 """Timestamps, stamp words, transaction contexts, and the worker-slot table.
 
 Everything here is shared, mutable state touched by up to 64 worker threads.
-The concurrency contract is deliberately narrow: under CPython the GIL makes
-single-attribute loads and stores atomic, and one module-wide lock, RMW_LOCK,
-serializes every read-modify-write cycle of a cross-thread word but one: the
-tid sequence is an itertools.count, whose next() is one C call that runs no
-bytecode, so the GIL alone makes each draw atomic.  All waiting is bounded
-spinning.  Shared words are plain slots of the object that owns them: a
-transaction's status, cstamp and sstamp and the table's top here, a
-version's stamps and reader bits in store.py.  Their read-modify-writes are
-methods of that owner that run under RMW_LOCK (a transaction's sstamp
-min-fold, seal and handshake CAS, and the table's raise of top).  A word
-that only its owner writes needs no lock: a transaction's status moves by
-a plain store (transition_status), and since peers write only a
-read-mostly reader's sstamp (the handshake), the owner of any other
-transaction folds its sstamp with a plain store too.
-AtomicCells (plain load/store plus locked fetch-add, fetch-or,
-compare-and-swap) remain only where a word stands alone: each record, which
-is the cell holding the newest version of its chain, the table pstamp, the
-clock and the SSI inbound flags; a record's cell changes together with a
-version's claim, in one hold of the lock (store.py).  The lock is not
-reentrant, so no read-modify-write may run another while it holds the
-lock.
-Every wait for a peer's pre-commit verdict goes through one function,
-settle, which waits only on a peer that holds a smaller commit stamp.
+This docstring is the one statement of the concurrency contract; the other
+modules cite its rules by number:
+
+1. Shared words are plain slots of the object that owns them: a
+   transaction's status, cstamp and sstamp and the table's lists and top
+   here, a version's stamps and reader bits in store.py.  Under the GIL a
+   load or store of one attribute or list item is atomic.
+2. Every read-modify-write of a shared word is a method of its owner that
+   takes one hold of RMW_LOCK, the one module-wide lock; changes that must
+   be seen together share the hold.  The lock is not reentrant, so no
+   read-modify-write may run another while it holds it.  An AtomicCell is
+   a word that stands alone: each record, the table pstamp, the clock and
+   the SSI inbound flags.
+3. A word that only its owner writes changes by a plain store: a
+   transaction's status (transition_status), a table slot's items, and the
+   sstamp of a transaction that is not read-mostly, since peers write only
+   a read-mostly reader's sstamp (the handshake).
+4. A C call that runs no bytecode is atomic under the GIL: the tid draw
+   (next() on an itertools.count), a trace row append (array.frombytes),
+   and a lookup in a peer's read set, a dict of versions hashed by
+   identity.
+5. Every wait goes through spin_until, which yields each round and fails
+   loudly past SPIN_LIMIT.
+6. Every wait for a peer's pre-commit verdict goes through settle, which
+   waits only on a peer that holds a smaller commit stamp.  A transaction
+   enters COMMITTING strictly before it draws its stamp, so a peer seen in
+   flight draws a stamp later than any the caller holds, and no two
+   transactions wait on each other.
 
 Stamp words are 64-bit integers with a fixed layout:
 
@@ -94,9 +99,8 @@ def word_value(word: int) -> int:
     return word & VALUE_MASK
 
 
-# One lock for every read-modify-write, of cells and plain words alike:
-# under the GIL it gives the same atomicity as a lock per word, without
-# building one for each.  Not reentrant.
+# Rule 2's lock: under the GIL it gives the same atomicity as a lock per
+# word, without building one for each.
 RMW_LOCK = threading.Lock()
 
 
@@ -222,17 +226,12 @@ class TransactionContext:
 
     Peers may read status, cstamp and sstamp, and may compare-and-swap a
     read-mostly transaction's sstamp (the handshake); everything else is
-    private.  The three shared words are plain slots.  status and cstamp
-    are only ever stored, by the owner (status through transition_status);
-    sstamp's read-modify-writes are the methods below, under RMW_LOCK,
-    except the owner's fold of a transaction that is not read-mostly.
-    writes is the engine's write set, an insertion-ordered dict from each
-    installed version to its record.  reads is the certifier's read set
-    (the bare scheme keeps none), an insertion-ordered dict from each
-    tracked version to None.  Overwriters look up a version in it
-    (TransactionTable.peer_reads): versions hash by identity, so under the
-    GIL a lookup runs no bytecode and sees an insert whole or not at all.
-    ssi holds the SSI certifier's flags, whose inbound cell peers may set.
+    private.  Only the owner stores status and cstamp.  writes is the
+    engine's write set, an insertion-ordered dict from each installed
+    version to its record.  reads is the certifier's read set (the bare
+    scheme keeps none), an insertion-ordered dict from each tracked version
+    to None, in which overwriters look up versions (rule 4).  ssi holds the
+    SSI certifier's flags, whose inbound cell peers may set.
     """
 
     __slots__ = (
@@ -267,10 +266,9 @@ class TransactionContext:
     def fold_sstamp(self, value: int) -> int:
         """Lower sstamp to value if smaller; returns the new content.
 
-        Only the owning thread folds its own sstamp, and only before sealing,
-        so a locked word must never show up here.  Peers write only a
-        read-mostly transaction's sstamp (the handshake), so the owner of
-        any other transaction folds with a plain store.
+        Only the owner folds, and only before sealing, so a locked word
+        never shows up here; the fold takes the lock only when the
+        transaction is read-mostly (rule 3).
         """
         if not self.read_mostly:
             if value < self.sstamp:
@@ -302,12 +300,10 @@ class TransactionContext:
 
 
 def transition_status(ctx: TransactionContext, src: Status, dst: Status) -> None:
-    """Move ctx along a legal lifecycle edge with a plain store.
+    """Move ctx along a legal lifecycle edge with a plain store (rule 3).
 
-    Only the owning thread ever moves its status (pre-commit, the commit
-    and the abort all run on the caller's own context); peers only read
-    it.  So the check and the store need no lock: nothing can change the
-    status between them.
+    The engine makes every transition, on the caller's own context, so
+    nothing changes the status between the check and the store.
     """
     if dst not in _SUCCESSORS[src]:
         raise IllegalTransition("illegal status edge %s -> %s" % (src.name, dst.name))
@@ -328,12 +324,8 @@ def settle(peer: TransactionContext, before: int) -> int:
 
     Returns peer's commit stamp when it committed below before, 0 when it
     aborted, and PENDING when it is in flight or drew a stamp at or above
-    before.  This is the one place where a transaction waits out a peer's
-    pre-commit, and it waits only on a peer that already holds a stamp below
-    before (or has entered COMMITTING and is about to draw one).  Entering
-    COMMITTING strictly before drawing the stamp makes that sound: a peer
-    seen in flight draws a stamp later than any the caller already holds,
-    so no two transactions wait on each other.
+    before.  It waits (rule 6) only on a peer that holds a stamp below
+    before, or has entered COMMITTING and is about to draw one.
     """
     if peer.status == INFLIGHT:
         return PENDING
@@ -354,12 +346,11 @@ class TransactionTable:
 
     Two flat lists indexed by slot: current holds each slot's transaction
     (None when the slot is free), last_cstamps the largest commit stamp the
-    slot has recorded.  Slot i's items are written only by worker i; any
-    thread may read any slot.  Under the GIL a list item load or store is
-    atomic, so the single-writer rule needs no lock.  A transaction id
-    encodes its slot in the low bits, so lookups by tid can detect that the
-    slot has moved on to a newer transaction.  top is one past the highest
-    slot ever published: table walks stop there.
+    slot has recorded.  Slot i's items are written only by worker i
+    (rule 3); any thread may read any slot.  A transaction id encodes its
+    slot in the low bits, so lookups by tid can detect that the slot has
+    moved on to a newer transaction.  top is one past the highest slot ever
+    published: table walks stop there.
     """
 
     def __init__(self):
@@ -369,8 +360,7 @@ class TransactionTable:
         self._tid_seq = itertools.count(1)
 
     def allocate_tid(self, slot: int) -> int:
-        # next() on a count is one C call that runs no bytecode, so under
-        # the GIL it is an atomic fetch-and-add without the lock.
+        # An atomic fetch-and-add without the lock (rule 4).
         return next(self._tid_seq) << 6 | slot
 
     def publish(self, slot: int, ctx: TransactionContext) -> None:

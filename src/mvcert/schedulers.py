@@ -8,9 +8,9 @@ version installs.  The write set maps each version a transaction installed
 to its record, so rollback can unlink it.  The Engine reports every
 transaction's start, each read of a foreign version, each fresh write and
 the commit to the configured certifier through the hooks in certifier.py,
-and aborts with whatever cause a hook returns.  Only table scans and safe
-snapshots ask which certifier is configured, because only SSN supports
-them.
+and aborts with whatever cause a hook returns.  It makes every status
+change itself (kernel rule 3).  Only table scans and safe snapshots ask
+which certifier is configured, because only SSN supports them.
 
 Three certifier settings exist:
 
@@ -219,24 +219,26 @@ class Engine:
         """Run the certifier's pre-commit and post-commit; returns the stamp.
 
         Raises TransactionAborted when certification refuses the commit.
-        With serial_commit, every commit but a safe-snapshot query's holds
-        the engine's latch from pre-commit through post-commit or rollback.
+        With serial_commit, every commit holds the engine's latch from the
+        COMMITTING transition through post-commit or rollback.
         """
         if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
         latch = self.latch
-        if latch is not None and not ctx.snapshot_mode:
+        if latch is not None:
             with latch:
                 return self._commit(ctx)
         return self._commit(ctx)
 
     def _commit(self, ctx) -> int:
-        """Pre-commit and post-commit, failure-atomic up to COMMITTED.
+        """COMMITTING, pre-commit, COMMITTED and post-commit.
 
-        Any exception raised between the COMMITTING and the COMMITTED
-        transitions, other than a certifier's own abort (which has already
-        cleaned up), aborts the transaction the way a refused commit does,
-        then propagates.  No abort line is traced: the trace format has no
+        The engine makes every status change; the certifier's pre-commit
+        only draws the stamp and gives the verdict, after COMMITTING, as
+        kernel rule 6 requires.  Any exception between COMMITTING and
+        COMMITTED, other than a certifier's own abort (already cleaned up),
+        aborts the transaction the way a refused commit does, then
+        propagates.  No abort line is traced: the trace format has no
         reason for it, and the oracle ignores unfinished transactions.
 
         Post-commit fails loudly and leaves the slot marked.  An exception
@@ -248,6 +250,7 @@ class Engine:
         aborts with cc_conflict, and the slot cannot begin again.
         """
         try:
+            transition_status(ctx, INFLIGHT, COMMITTING)
             cause = self.cert.pre_commit(ctx)
             if cause is not None:
                 self._fail(ctx, cause, COMMITTING)

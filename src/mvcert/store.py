@@ -4,9 +4,9 @@ Each record is a newest-first singly linked chain of versions.  A version's
 cstamp holds the creator's transaction id until the creator's post-commit
 turns it into a real timestamp, which is also the visibility switch: readers
 skip tid-tagged versions that are not their own.  A writer appends under
-one hold of kernel.RMW_LOCK: it checks that the head it saw is still the
-head and unclaimed, then links its version in and claims the old head.
-Readers take no lock, so writers never block readers and vice versa.
+one hold of the lock: it checks that the head it saw is still the head and
+unclaimed, then links its version in and claims the old head.  Readers take
+no lock, so writers never block readers and vice versa.
 
 Version stamps follow a strict lifecycle.  sstamp goes +inf -> overwriter
 tid -> overwriter's successor watermark, never any other way; pstamp only
@@ -14,15 +14,14 @@ rises once the version is committed.  Aborts restore the overwritten
 version's sstamp to +inf before unlinking the dead head, in the same hold
 of the lock, so no reader can observe a dangling overwriter tid.
 
-A version's stamps and reader bitmap are plain slots, like a transaction's
-words: loads and stores are attribute accesses, atomic under the GIL.  Their
-read-modify-writes run under kernel.RMW_LOCK, the lock every AtomicCell
-shares: an append with its sstamp claim (Store.install_version), an unlink
-with the claim's restore (Store.rollback), setting one reader bit
-(Store.register_reader), and a committer's pstamp raise over its read set
-(Store.finalize_commit), which takes the lock once per transaction, not
-once per version.  A record is itself the AtomicCell that holds the newest
-version of its chain; the table pstamp is the store's other cell.
+A version's stamps and reader bitmap are plain slots (kernel rule 1).
+Their read-modify-writes (kernel rule 2) are an append with its claim
+(Store.install_version), an unlink with the claim's restore
+(Store.rollback), setting one reader bit (Store.register_reader), and a
+committer's pstamp raise over its read set (Store.finalize_commit), which
+takes the lock once per transaction, not once per version.  A record is
+itself the AtomicCell that holds the newest version of its chain; the
+table pstamp is the store's other cell.
 
 Nothing in the store points back up: a version links only to its
 predecessor, and a transaction's write set maps each version it installed
@@ -89,10 +88,8 @@ class VersionMeta:
 class Record(AtomicCell):
     """One record: the cell that holds the newest version of its chain.
 
-    Appends and unlinks store the cell's word under RMW_LOCK, together
-    with the overwritten version's claim (Store.install_version and
-    rollback).  Every record starts with a committed "invalid" version:
-    payload None, creation stamp 0, creator 0 (nobody).
+    Every record starts with a committed "invalid" version: payload None,
+    creation stamp 0, creator 0 (nobody).
     """
 
     __slots__ = ()

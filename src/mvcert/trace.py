@@ -21,10 +21,9 @@ shared array('q') of five words per event:
 
 The engine packs each row where its event happens, into 40 bytes with
 pack_row, and appends them with one array.frombytes call (TraceLog.append).
-That call runs no bytecode, so under the GIL no other thread can run
-between the first and the last word of a row: rows never interleave, and
-array order is real-time emit order, so any referenced version was created
-by an earlier line.  TraceLog's emit methods pack the same rows from their
+That call is atomic (kernel rule 4), so rows never interleave, and array
+order is real-time emit order: any referenced version was created by an
+earlier line.  TraceLog's emit methods pack the same rows from their
 arguments; they serve hand-built logs.  The thread is packed into the kind
 word rather than taken from the tid's low bits, so hand-built logs may use
 any tids.

@@ -343,6 +343,7 @@ class TestReadTracesWhatTheStoreSees:
         _committed(engine, [(0, "a")])
         peer = engine.begin(1)
         engine.write(peer, 0, "b")
+        transition_status(peer, Status.INFLIGHT, Status.COMMITTING)
         assert engine.cert.pre_commit(peer) is None
         transition_status(peer, Status.COMMITTING, Status.COMMITTED)
         reader = engine.begin(0)
