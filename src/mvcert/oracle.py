@@ -105,8 +105,9 @@ def build_graph(events) -> DependencyGraph:
     accesses to a version whose write the pass has not met yet.
 
     When a trace has several faults, a line that does not parse, a second
-    begin and a second committed overwriter of one version (at its commit
-    line) are raised as the pass reaches them.  A forward reference can be
+    begin, a second outcome line of a committed tid and a second committed
+    overwriter of one version (at its commit line) are raised as the pass
+    reaches them.  A forward reference can be
     judged only once its creator's outcome is known, so forward references
     are resolved after the pass, and the earliest bad one is raised.  Each
     names the offending event by its seq, as parse_trace does (see
@@ -165,11 +166,16 @@ def build_graph(events) -> DependencyGraph:
             raise MalformedTrace(position, "tid %d began twice" % tid)
         seen.add(tid)
         if kind == "commit":
+            if tid in nodes:
+                raise MalformedTrace(position, "tid %d committed twice" % tid)
             graph.add_node(tid, event.cstamp, len(nodes))
             admit(position, tid, inflight.pop(tid, ()))
             for committed, access in waiting.pop(tid, ()):
                 admit(position, committed, [access])
         elif kind == "abort":
+            if tid in nodes:
+                raise MalformedTrace(position,
+                                     "tid %d aborted after its commit" % tid)
             inflight.pop(tid, None)
             waiting.pop(tid, None)
         elif kind != "begin":

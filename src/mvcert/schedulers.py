@@ -35,9 +35,9 @@ from enum import Enum
 
 from .certifier import Certifier, ExclusionCertifier, SsiCertifier
 from .kernel import (
-    ABORTED, COMMITTED, COMMITTING, INFLIGHT, RC, GlobalClock, Scheme,
-    TableMode, TransactionAborted, TransactionContext, TransactionTable,
-    UsageError, transition_status,
+    ABORTED, COMMITTED, COMMITTING, INFLIGHT, RC, SLOT_MASK, GlobalClock,
+    Scheme, TableMode, TransactionAborted, TransactionContext,
+    TransactionTable, UsageError, transition_status,
 )
 from .store import Store, WriteConflict
 from .trace import ABORT, COMMIT, READ, REASON_INDEX, WRITE, TraceLog, pack_row
@@ -87,6 +87,9 @@ class Engine:
 
     def begin(self, slot: int, *, read_only: bool = False,
               read_mostly: bool = False) -> TransactionContext:
+        if slot & ~SLOT_MASK:
+            raise UsageError("worker slot %d is outside 0..%d"
+                             % (slot, SLOT_MASK))
         tid = self.table.allocate_tid(slot)
         start = self.clock.current()
         scheme = self.scheme
@@ -129,6 +132,8 @@ class Engine:
     def read(self, ctx: TransactionContext, key: int):
         if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
+        if key < 0:
+            raise UsageError("key %d is negative" % key)
         record = self.records[key]
         try:
             # A head whose word is at or below begin_stamp is the visible
@@ -161,8 +166,10 @@ class Engine:
     def write(self, ctx: TransactionContext, key: int, payload=None) -> None:
         if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
-        if ctx.snapshot_mode:
-            raise UsageError("snapshot queries are read-only")
+        if ctx.read_only:
+            raise UsageError("transaction %d is read-only" % ctx.tid)
+        if key < 0:
+            raise UsageError("key %d is negative" % key)
         if payload is None:
             payload = ctx.tid
         record = self.records[key]

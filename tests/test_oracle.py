@@ -30,6 +30,16 @@ def trace(text):
     return parse_trace(text.strip().splitlines())
 
 
+# Two committed transactions, before a second outcome line for tid 64.
+SECOND_OUTCOME = """\
+begin 64 0
+write 64 0 0 0 0
+commit 64 0 4
+begin 129 1
+commit 129 1 5
+"""
+
+
 class TestBuildGraph:
     def test_read_dependency_edge(self):
         events = trace("""
@@ -153,6 +163,21 @@ class TestBuildGraph:
         with pytest.raises(MalformedTrace, match="both 64 and 129") as caught:
             build_graph(events)
         assert caught.value.index == 5
+
+    @pytest.mark.parametrize("outcome, message", [
+        ("commit 64 0 9", "tid 64 committed twice"),
+        ("abort 64 0 user", "tid 64 aborted after its commit"),
+    ], ids=["second-commit", "abort-after-commit"])
+    def test_a_second_outcome_of_a_committed_tid_is_diagnosed(
+            self, tmp_path, capsys, outcome, message):
+        text = SECOND_OUTCOME + outcome + "\n"
+        with pytest.raises(MalformedTrace, match=message) as caught:
+            build_graph(trace(text))
+        assert caught.value.index == 5
+        path = tmp_path / "second-outcome.trace"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == "error: event 5: %s\n" % message
 
     def test_read_before_its_creators_write_is_diagnosed(self):
         # The creator is already in flight, but has not written key 0 yet.

@@ -124,7 +124,7 @@ def _scan_without_ssn():
      "is not in flight"),
     (_after_commit(lambda engine, ctx: engine.write(ctx, 0)),
      "is not in flight"),
-    (_write_in_snapshot_mode, "snapshot queries are read-only"),
+    (_write_in_snapshot_mode, "is read-only"),
     (_scan_without_ssn, "table scans need the ssn certifier"),
     (lambda: Engine(2, SI, SSI).take_safe_snapshot(),
      "safe snapshots need the ssn certifier"),
@@ -134,6 +134,44 @@ def _scan_without_ssn():
 def test_usage_errors_name_the_misuse(call, message):
     with pytest.raises(UsageError, match=message):
         call()
+
+
+@pytest.mark.parametrize("misuse, message", [
+    (lambda engine, ctx, query: engine.begin(-1), "slot -1 is outside 0..63"),
+    (lambda engine, ctx, query: engine.begin(64), "slot 64 is outside 0..63"),
+    (lambda engine, ctx, query: engine.read(ctx, -1), "key -1 is negative"),
+    (lambda engine, ctx, query: engine.write(ctx, -1), "key -1 is negative"),
+    (lambda engine, ctx, query: engine.write(query, 0), "is read-only"),
+], ids=["slot-below", "slot-above", "read-negative-key",
+        "write-negative-key", "write-read-only"])
+def test_a_refused_operation_has_no_effect(misuse, message):
+    """No tid drawn, no row traced, no version installed, and the
+    transactions stay in flight."""
+    engine = Engine(2, SI, NONE, trace=TraceLog())
+    ctx = engine.begin(0)
+    query = engine.begin(1, read_only=True)
+    with pytest.raises(UsageError, match=message):
+        misuse(engine, ctx, query)
+    assert len(engine.trace.merged()) == 2
+    assert engine.store.dump_stamps() == Engine(2, SI, NONE).store.dump_stamps()
+    assert ctx.status == query.status == Status.INFLIGHT
+    engine.commit(ctx)
+    assert engine.begin(0).tid == 3 << 6
+
+
+@pytest.mark.parametrize("certifier", [NONE, SSN, SSI])
+def test_a_read_only_transaction_cannot_close_a_write_skew(certifier):
+    engine = Engine(2, SI, certifier, trace=TraceLog())
+    t1 = engine.begin(0, read_only=True)
+    t2 = engine.begin(1)
+    engine.read(t1, 0)
+    engine.read(t2, 1)
+    with pytest.raises(UsageError, match="is read-only"):
+        engine.write(t1, 1)
+    engine.write(t2, 0)
+    assert engine.commit(t2) == 1
+    engine.commit(t1)
+    assert check_trace(engine.trace.merged()).clean
 
 
 @pytest.mark.parametrize("serial", [False, True])
