@@ -107,11 +107,10 @@ def build_graph(events) -> DependencyGraph:
     When a trace has several faults, a line that does not parse, a second
     begin, a second outcome line of a committed tid and a second committed
     overwriter of one version (at its commit line) are raised as the pass
-    reaches them.  A forward reference can be
-    judged only once its creator's outcome is known, so forward references
-    are resolved after the pass, and the earliest bad one is raised.  Each
-    names the offending event by its seq, as parse_trace does (see
-    MalformedTrace).
+    reaches them.  A forward reference can be judged only once its
+    creator's outcome is known, so forward references are resolved after
+    the pass, and the earliest bad one is raised.  Each names the offending
+    event by its seq, as parse_trace does (see MalformedTrace).
     """
     graph = DependencyGraph()
     nodes = graph.nodes
