@@ -3,7 +3,7 @@ certification, an offline dependency-graph checker, and a microbenchmark
 harness."""
 
 from .bench import ClientGroup, RunStats, WorkloadConfig, run_bench
-from .certifier import Certifier, ExclusionCertifier, SsiCertifier, SsiState
+from .certifier import Certifier, ExclusionCertifier, SsiCertifier
 from .kernel import (
     INFINITY, GlobalClock, Scheme, Status, TableMode, TransactionAborted,
     TransactionContext, TransactionTable, UsageError,
@@ -19,7 +19,7 @@ from .trace import TraceEvent, TraceLog, parse_trace, read_trace, write_trace
 
 __all__ = [
     "ClientGroup", "RunStats", "WorkloadConfig", "run_bench",
-    "Certifier", "ExclusionCertifier", "SsiCertifier", "SsiState",
+    "Certifier", "ExclusionCertifier", "SsiCertifier",
     "INFINITY", "GlobalClock", "Scheme", "Status", "TableMode",
     "TransactionAborted", "TransactionContext", "TransactionTable",
     "UsageError", "DependencyGraph", "ViolationReport",

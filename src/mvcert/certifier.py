@@ -33,8 +33,10 @@ No certifier takes a lock around a commit or moves a status; both are the
 Engine's.  An overwrite word in a read set may carry an overwriter's
 transaction id instead of a final stamp.  overwriter_outcome is the one
 place that resolves it, through the transaction table with kernel.settle
-(kernel rule 6).  When the Engine runs one commit at a time no overwriter
-is mid-commit, and the same code gives the reference verdict.
+(kernel rule 6), and it gives both certifiers one answer for a committed
+overwrite: the overwriter's successor watermark.  When the Engine runs one
+commit at a time no overwriter is mid-commit, and the same code gives the
+reference verdict.
 After the read set, SSN's pre-commit runs the reader sweep and handshake,
 the table and snapshot pstamps, the seal of a read-mostly transaction's
 sstamp, and the window test.
@@ -49,23 +51,25 @@ scans raise and table updates fold in.  Reader bits mark only untracked
 reads and are never cleared; an overwriter finds tracked readers in the read
 sets of the transactions still in the table.
 
-SSI keeps one conflict flag pair per transaction instead of full conflict
-lists, which admits false positives but must never miss a cycle.  Three
-rules together cover every dangerous structure: writers collect the inbound
-flag from the read sets of readers still in the table and from access
-stamps; readers push the inbound flag into a live overwriter the moment they
-read under its uncommitted write; and a reader that finds its version
-overwritten by an already-committed pivot (both flags, partner first) aborts
-itself, because the pivot can no longer be stopped.  Beyond the flags, SSI
-keeps only the set of versions that committed pivots overwrote.
+SSI keeps two words per transaction instead of full conflict lists: an
+inbound flag and the earliest commit stamp of a committed outbound partner.
+That admits false positives but must never miss a cycle.  Three rules
+together cover every dangerous structure: writers collect the inbound flag
+from the read sets of readers still in the table and from access stamps;
+readers push the inbound flag into a live overwriter the moment they read
+under its uncommitted write; and a reader that finds its version
+overwritten by an already-committed pivot (inbound flag, partner committed
+first) aborts itself, because the pivot can no longer be stopped.  Beyond
+the two words, SSI keeps only the set of versions that committed pivots
+overwrote.
 """
 
 from __future__ import annotations
 
 from .kernel import (
-    INFINITY, LOCK_BIT, PENDING, SI, TID_TAG, VALUE_MASK, AtomicCell,
-    GlobalClock, TableMode, TransactionContext, TransactionTable, is_tid,
-    settle, spin_until, word_value,
+    INFINITY, LOCK_BIT, PENDING, SI, TID_TAG, VALUE_MASK, GlobalClock,
+    TableMode, TransactionContext, TransactionTable, is_tid, settle,
+    spin_until, word_value,
 )
 from .store import Store, VersionMeta
 
@@ -75,11 +79,14 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
     """Resolve what happened to the overwriter of a version ctx read.
 
     Returns one of:
-        ("none", None)            no foreign overwrite yet, or ctx's own
-        ("final", raw_word)       overwrite committed and fully stamped
-        ("committed", peer_ctx)   overwrite committed, stamps still pending
-        ("pending", peer_ctx)     overwriter in flight or holding a larger stamp
+        ("none", None)          no foreign overwrite yet, or ctx's own
+        ("committed", stamp)    overwrite committed; stamp is the
+                                overwriter's successor watermark
+        ("pending", peer_ctx)   overwriter in flight or holding a larger stamp
 
+    The stamp is the version's final sstamp, or the overwriter's own
+    sstamp while its stamps are still pending: settle reports a peer
+    committed only once its pre-commit is over, so that word is final too.
     Mandatory discipline: the sstamp is snapshotted into a local before any
     branching, because the owner may finalize it at any moment.  A tid whose
     context is gone means the owner concluded, and an aborted owner is
@@ -87,14 +94,14 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
     holds) other content, which we wait for and re-read.  settle judges the
     overwriter against ctx's commit stamp; a caller that has drawn none yet
     (ctx.cstamp == 0) gets "pending" for every live overwriter, committed
-    or not, and never "committed".
+    or not.
     """
     while True:
         word = version.sstamp
         if word == INFINITY:
             return "none", None
         if not is_tid(word):
-            return "final", word
+            return "committed", word
         if word_value(word) == ctx.tid:
             return "none", None
         peer = table.get(word_value(word))
@@ -103,7 +110,7 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
             if stamp == PENDING:
                 return "pending", peer
             if stamp:
-                return "committed", peer
+                return "committed", word_value(peer.sstamp)
         spin_until(lambda: version.sstamp != word,
                    "overwriter %d to conclude" % word_value(word))
 
@@ -304,11 +311,9 @@ class ExclusionCertifier(Certifier):
         for version in ctx.reads:
             if version.sstamp == INFINITY:
                 continue  # not overwritten: nothing to resolve
-            kind, value = overwriter_outcome(self.table, version, ctx)
-            if kind == "final":
-                ctx.fold_sstamp(word_value(value))
-            elif kind == "committed":
-                ctx.fold_sstamp(word_value(value.sstamp))
+            kind, stamp = overwriter_outcome(self.table, version, ctx)
+            if kind == "committed":
+                ctx.fold_sstamp(stamp)
             # none / pending contribute nothing
         return self._window_test(ctx)
 
@@ -426,46 +431,24 @@ IN_RW = 1       # has an inbound read anti-dependency
 DECIDED = 2     # the owner already ran its commit check
 
 
-class SsiState:
-    """Conflict flags for one transaction under the SSI certifier.
-
-    The inbound flag may be set by conflicting peers, so it lives in an
-    atomic cell together with a "decided" bit the owner raises when it takes
-    its commit decision: a marker that finds the bit set knows its mark came
-    too late and must handle the committed pivot itself.  out_rw and the
-    earliest committed rw-partner stamp are owner-private and final before
-    the decision.  Flags are only ever set, never cleared.
-    """
-
-    __slots__ = ("in_rw", "out_rw", "partner_commit")
-
-    def __init__(self):
-        self.in_rw = AtomicCell(0)
-        self.out_rw = False
-        self.partner_commit = None
-
-    def fold_partner(self, cstamp: int) -> None:
-        self.out_rw = True
-        if self.partner_commit is None or cstamp < self.partner_commit:
-            self.partner_commit = cstamp
-
-    def committed_pivot(self, cstamp: int) -> bool:
-        return (self.out_rw and self.partner_commit is not None
-                and self.partner_commit < cstamp)
-
-
 class SsiCertifier(Certifier):
     """Two-flag dangerous-structure certification, on SI only.
 
-    Each transaction carries an SsiState in ctx.ssi.  A version's final
-    sstamp is its overwriter's commit stamp (only the base pre-commit folds
-    one).  pivot_overwrites holds the versions committed pivots overwrote; a
-    committer updates it before its versions' sstamps turn final, so a reader
-    that finds a final sstamp also finds whether the overwriter was a pivot.
-    SSI sets no reader bits: a reader joins the read set before it loads
-    the claim, and a writer claims before it looks for readers in the
-    table, so one of the two always sees the other.  A reader that left
-    the table raised the version's access stamp first.
+    begin gives each transaction its two SSI words (kernel.py's
+    TransactionContext): the flag word, in which peers raise IN_RW and
+    the owner raises DECIDED when it takes its commit decision, and the
+    earliest commit stamp of a committed out-partner, which only the owner
+    lowers.  The transaction is a committed pivot when that stamp is below
+    its own commit stamp; out-partners that have not committed decide
+    nothing.  A committed overwriter's stamp is its commit stamp, since
+    only the base pre-commit folds one into its sstamp.
+    pivot_overwrites holds the versions committed pivots overwrote; a
+    committer updates it before its COMMITTED transition, so a reader that
+    finds the overwriter committed also finds whether it was a pivot.  SSI
+    sets no reader bits: a reader joins the read set before it loads the
+    claim, and a writer claims before it looks for readers in the table,
+    so one of the two always sees the other.  A reader that left the table
+    raised the version's access stamp first.
     """
 
     def __init__(self, clock: GlobalClock, table: TransactionTable,
@@ -474,7 +457,8 @@ class SsiCertifier(Certifier):
         self.pivot_overwrites = set()
 
     def begin(self, ctx: TransactionContext) -> None:
-        ctx.ssi = SsiState()
+        ctx.ssi_flags = 0
+        ctx.ssi_partner = INFINITY
 
     def on_read(self, ctx: TransactionContext, version: VersionMeta,
                 cstamp: int) -> str | None:
@@ -485,33 +469,33 @@ class SsiCertifier(Certifier):
         reads[version] = None
         # ctx has drawn no commit stamp, so a live overwriter is "pending".
         kind, value = overwriter_outcome(self.table, version, ctx)
-        if kind == "final":
+        if kind == "committed":
             if fresh:
                 del reads[version]
             return self._committed_overwrite(ctx, version, value)
         if kind == "pending":
-            return self._pending_overwrite(ctx, value)
+            return self._pending_overwrite(value)
         return None
 
-    def _pending_overwrite(self, ctx: TransactionContext,
-                           peer: TransactionContext) -> str | None:
-        """ctx read a version that peer overwrites and has not committed
-        below ctx: mark peer's inbound flag, else set ctx's outbound flag.
+    @staticmethod
+    def _pending_overwrite(peer: TransactionContext) -> str | None:
+        """A reader read a version that peer overwrites and has not
+        committed below the reader: mark peer's inbound flag.
 
         If peer already took its commit decision the mark arrived too late;
-        when the flags peer froze make it a committed pivot, ctx is the only
-        transaction left that can break the structure, so it aborts
-        (conservatively even if peer itself ended up aborting).
+        when peer's frozen partner stamp makes it a committed pivot, the
+        reader is the only transaction left that can break the structure,
+        so it aborts (conservatively even if peer itself ended up aborting).
         """
-        seen = peer.ssi.in_rw.fetch_or(IN_RW)
-        if seen & DECIDED and peer.ssi.committed_pivot(peer.cstamp):
+        seen = peer.set_ssi_flags(IN_RW)
+        if seen & DECIDED and peer.ssi_partner < peer.cstamp:
             return "ssi_dangerous"
-        ctx.ssi.out_rw = True
         return None
 
     def _committed_overwrite(self, ctx: TransactionContext,
-                             version: VersionMeta, word: int) -> str | None:
-        ctx.ssi.fold_partner(word_value(word))
+                             version: VersionMeta, stamp: int) -> str | None:
+        if stamp < ctx.ssi_partner:
+            ctx.ssi_partner = stamp
         if version in self.pivot_overwrites:
             # The overwriter is a committed pivot; this read closes the
             # structure and the reader is the only one left to stop.
@@ -523,30 +507,23 @@ class SsiCertifier(Certifier):
         prev = version.prev
         readers = self.table.reader_slots(prev) & ~(1 << ctx.slot)
         if readers or prev.pstamp > prev.committed_stamp():
-            ctx.ssi.in_rw.fetch_or(IN_RW)
+            ctx.set_ssi_flags(IN_RW)
         return None
 
     def pre_commit(self, ctx: TransactionContext) -> str | None:
         super().pre_commit(ctx)
-        ssi = ctx.ssi
         for version in ctx.reads:
             kind, value = overwriter_outcome(self.table, version, ctx)
-            if kind == "final":
+            if kind == "committed":
                 cause = self._committed_overwrite(ctx, version, value)
-                if cause is not None:
-                    return cause
-            elif kind == "committed":
-                ssi.fold_partner(value.cstamp)
-                if value.ssi.committed_pivot(value.cstamp):
-                    return "ssi_dangerous"
             elif kind == "pending":
-                cause = self._pending_overwrite(ctx, value)
-                if cause is not None:
-                    return cause
-        cstamp = ctx.cstamp
-        decision = ssi.in_rw.fetch_or(DECIDED)
-        pivot = ssi.committed_pivot(cstamp)
-        if decision & IN_RW and pivot and not ctx.read_only:
+                cause = self._pending_overwrite(value)
+            else:
+                continue
+            if cause is not None:
+                return cause
+        pivot = ctx.ssi_partner < ctx.cstamp
+        if ctx.set_ssi_flags(DECIDED) & IN_RW and pivot:
             return "ssi_dangerous"
         # A non-pivot discards: a pivot rolled back after this hook left its
         # versions in the set, and their next overwriter decides again.

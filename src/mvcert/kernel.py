@@ -5,19 +5,19 @@ This docstring is the one statement of the concurrency contract; the other
 modules cite its rules by number:
 
 1. Shared words are plain slots of the object that owns them: a
-   transaction's status, cstamp and sstamp and the table's lists and top
-   here, a version's stamps and reader bits in store.py.  Under the GIL a
-   load or store of one attribute or list item is atomic.
+   transaction's status, cstamp, sstamp and SSI flag word and the table's
+   lists and top here, a version's stamps and reader bits in store.py.
+   Under the GIL a load or store of one attribute or list item is atomic.
 2. Every read-modify-write of a shared word is a method of its owner that
    takes one hold of RMW_LOCK, the one module-wide lock; changes that must
    be seen together share the hold.  The lock is not reentrant, so no
    read-modify-write may run another while it holds it.  An AtomicCell is
-   a word that stands alone: each record, the table pstamp, the clock and
-   the SSI inbound flags.
+   a word that stands alone: each record, the table pstamp and the clock.
 3. A word that only its owner writes changes by a plain store: a
-   transaction's status (transition_status), a table slot's items, and the
-   sstamp of a transaction that is not read-mostly, since peers write only
-   a read-mostly reader's sstamp (the handshake).
+   transaction's status (transition_status) and SSI partner stamp, a
+   table slot's items, and the sstamp of a transaction that is not
+   read-mostly, since peers write only a read-mostly reader's sstamp (the
+   handshake).
 4. A C call that runs no bytecode is atomic under the GIL: the tid draw
    (next() on an itertools.count), a trace row append (array.frombytes),
    and a lookup in a peer's read set, a dict of versions hashed by
@@ -224,21 +224,25 @@ NO_TABLE_MODES = frozenset()
 class TransactionContext:
     """Per-transaction state, owned by one worker thread.
 
-    Peers may read status, cstamp and sstamp, and may compare-and-swap a
-    read-mostly transaction's sstamp (the handshake); everything else is
-    private.  Only the owner stores status and cstamp.  writes is the
-    engine's write set, an insertion-ordered dict from each installed
-    version to its record.  reads is the certifier's read set (the bare
-    scheme keeps none), an insertion-ordered dict from each tracked version
-    to None, in which overwriters look up versions (rule 4).  ssi holds the
-    SSI certifier's flags, whose inbound cell peers may set.
+    Peers may read status, cstamp, sstamp and the two SSI words, may
+    compare-and-swap a read-mostly transaction's sstamp (the handshake) and
+    may raise SSI flags; everything else is private.  Only the owner stores
+    status and cstamp.  writes is the engine's write set, an
+    insertion-ordered dict from each installed version to its record.
+    reads is the certifier's read set (the bare scheme keeps none), an
+    insertion-ordered dict from each tracked version to None, in which
+    overwriters look up versions (rule 4).  Only the SSI certifier's begin
+    sets the two SSI words: ssi_flags, the inbound and decided flags, which
+    change only through set_ssi_flags, and ssi_partner, the earliest commit
+    stamp among committed overwriters of versions this transaction read
+    (INFINITY for none), which only the owner stores.
     """
 
     __slots__ = (
         "tid", "slot", "scheme", "read_only", "read_mostly", "snapshot_mode",
         "status", "cstamp", "pstamp", "sstamp", "begin_stamp", "start_stamp",
-        "reads", "writes", "table_modes", "ssi", "untracked_reads",
-        "observed_violation",
+        "reads", "writes", "table_modes", "untracked_reads",
+        "observed_violation", "ssi_flags", "ssi_partner",
     )
 
     def __init__(self, tid: int, slot: int, scheme: Scheme,
@@ -259,7 +263,6 @@ class TransactionContext:
         self.reads = {}
         self.writes = {}
         self.table_modes = NO_TABLE_MODES
-        self.ssi = None
         self.untracked_reads = 0
         self.observed_violation = False
 
@@ -292,6 +295,13 @@ class TransactionContext:
                 self.sstamp = new
                 return True
             return False
+
+    def set_ssi_flags(self, bits: int) -> int:
+        """Raise bits in ssi_flags; returns the word as it was."""
+        with RMW_LOCK:
+            old = self.ssi_flags
+            self.ssi_flags = old | bits
+            return old
 
     @property
     def tracked_reads(self) -> int:

@@ -90,13 +90,16 @@ class Engine:
         if slot & ~SLOT_MASK:
             raise UsageError("worker slot %d is outside 0..%d"
                              % (slot, SLOT_MASK))
-        tid = self.table.allocate_tid(slot)
+        table = self.table
+        if table.current[slot] is not None:
+            raise UsageError("worker slot %d already occupied" % slot)
+        tid = table.allocate_tid(slot)
         start = self.clock.current()
         scheme = self.scheme
         ctx = TransactionContext(tid, slot, scheme, read_only, read_mostly,
                                  0 if scheme is RC else start, start)
         self.cert.begin(ctx)
-        self.table.publish(slot, ctx)
+        table.publish(slot, ctx)
         emit = self._emit
         if emit is not None:
             emit(pack_row(slot << 3, tid, 0, 0, 0))
@@ -121,6 +124,10 @@ class Engine:
         self._abort_cleanup(ctx, reason, from_status)
         raise TransactionAborted(reason)
 
+    def _key_past_the_end(self, key) -> UsageError:
+        return UsageError("key %d is past the last key %d"
+                          % (key, len(self.records) - 1))
+
     def _require_inflight(self, ctx) -> None:
         if ctx.status != INFLIGHT:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
@@ -134,7 +141,10 @@ class Engine:
             raise UsageError("transaction %d is not in flight" % ctx.tid)
         if key < 0:
             raise UsageError("key %d is negative" % key)
-        record = self.records[key]
+        try:
+            record = self.records[key]
+        except IndexError:
+            raise self._key_past_the_end(key) from None
         try:
             # A head whose word is at or below begin_stamp is the visible
             # version, and its word is its stamp: a tid-tagged word is
@@ -172,7 +182,10 @@ class Engine:
             raise UsageError("key %d is negative" % key)
         if payload is None:
             payload = ctx.tid
-        record = self.records[key]
+        try:
+            record = self.records[key]
+        except IndexError:
+            raise self._key_past_the_end(key) from None
         try:
             version = self.store.install_version(ctx, record, payload)
             emit = self._emit

@@ -12,7 +12,7 @@ from mvcert import (
     TransactionAborted, build_graph, check_trace, find_violations,
     replay_scripted,
 )
-from mvcert.kernel import Status, TableMode, is_locked, word_value
+from mvcert.kernel import Status, TableMode, is_locked, is_tid, word_value
 from mvcert.store import Store
 from mvcert.trace import TraceLog
 
@@ -678,13 +678,12 @@ class TestReaderBits:
             assert version in reader.reads
             writer = engine.begin(2)
             engine.write(writer, 0)
-            assert writer.ssi.in_rw.load() & mvcert.certifier.IN_RW
+            assert writer.ssi_flags & mvcert.certifier.IN_RW
         finally:
             release.set()
             reader_thread.join(10)
         assert not reader_thread.is_alive()
-        assert reader.ssi.out_rw                   # and the reader saw it
-        assert writer.ssi.in_rw.load() & mvcert.certifier.IN_RW
+        assert writer.ssi_flags & mvcert.certifier.IN_RW
 
 
 class TestTableModes:
@@ -799,6 +798,63 @@ class TestParallelFinalization:
         engine.commit(reader)
         assert reader.status == Status.COMMITTED
         assert word_value(reader.sstamp) == watermark
+
+    @pytest.mark.parametrize("certifier", [SSN, SSI])
+    def test_an_overwriter_paused_before_finalize_resolves_as_if_final(
+            self, monkeypatch, certifier):
+        # R reads key 0; W overwrites it and commits on a second thread,
+        # paused in finalize_commit, so R's pre-commit meets W's tid claim
+        # and resolves W through the table.  R must end as it does when W
+        # finalized first: the same verdict, stamps and partner stamp.
+        finalize = Store.finalize_commit
+        resolve = mvcert.certifier.overwriter_outcome
+
+        def run(pause):
+            engine = Engine(2, SI, certifier)
+            reader = engine.begin(0)
+            engine.read(reader, 0)
+            version = engine.store.records[0].load()
+            writer = engine.begin(1)
+            engine.write(writer, 0)
+            paused, release = threading.Event(), threading.Event()
+
+            def held(store, ctx):
+                if ctx is writer and pause:
+                    paused.set()
+                    release.wait(10)
+                finalize(store, ctx)
+
+            kinds = []
+
+            def spy(table, seen, ctx):
+                outcome = resolve(table, seen, ctx)
+                if ctx is reader:
+                    kinds.append(outcome[0])
+                return outcome
+
+            monkeypatch.setattr(Store, "finalize_commit", held)
+            monkeypatch.setattr(mvcert.certifier, "overwriter_outcome", spy)
+            writer_thread = threading.Thread(target=engine.commit,
+                                             args=(writer,))
+            writer_thread.start()
+            try:
+                if pause:
+                    assert paused.wait(10)
+                    assert is_tid(version.sstamp)
+                else:
+                    writer_thread.join(10)
+                    assert not is_tid(version.sstamp)
+                engine.commit(reader)
+            finally:
+                release.set()
+                writer_thread.join(10)
+            assert not writer_thread.is_alive()
+            assert kinds[-1] == "committed"
+            stamp = (word_value(reader.sstamp) if certifier is SSN
+                     else reader.ssi_partner)
+            return writer.cstamp, reader.status, reader.cstamp, stamp
+
+        assert run(True) == run(False) == (1, Status.COMMITTED, 2, 1)
 
     def test_later_stamp_reader_is_not_waited_for(self):
         # a reader that drew a larger commit stamp cannot be a predecessor;

@@ -198,6 +198,12 @@ def _read_mostly_ctx():
     return TransactionContext(65, 1, Scheme.SI, read_mostly=True)
 
 
+def _ssi_ctx():
+    ctx = _ctx()
+    ctx.ssi_flags = 0
+    return ctx
+
+
 def _ctx_words(ctx):
     return ctx.status, ctx.cstamp, ctx.sstamp
 
@@ -259,6 +265,9 @@ READ_MODIFY_WRITES = {
         _ctx, lambda c: c.seal_sstamp(), _ctx_words),
     "TransactionContext.swap_sstamp": (
         _ctx, lambda c: c.swap_sstamp(INFINITY, 5), _ctx_words),
+    # Peers raise the SSI inbound flag, and the owner the decided flag.
+    "TransactionContext.set_ssi_flags": (
+        _ssi_ctx, lambda c: c.set_ssi_flags(1), lambda c: c.ssi_flags),
     # The store's reader-bit and pstamp updates take the lock themselves;
     # finalize_commit takes it once for the whole read set.
     "Store.register_reader": (

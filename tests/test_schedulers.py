@@ -139,11 +139,17 @@ def test_usage_errors_name_the_misuse(call, message):
 @pytest.mark.parametrize("misuse, message", [
     (lambda engine, ctx, query: engine.begin(-1), "slot -1 is outside 0..63"),
     (lambda engine, ctx, query: engine.begin(64), "slot 64 is outside 0..63"),
+    (lambda engine, ctx, query: engine.begin(0), "slot 0 already occupied"),
     (lambda engine, ctx, query: engine.read(ctx, -1), "key -1 is negative"),
     (lambda engine, ctx, query: engine.write(ctx, -1), "key -1 is negative"),
+    (lambda engine, ctx, query: engine.read(ctx, 2),
+     "key 2 is past the last key 1"),
+    (lambda engine, ctx, query: engine.write(ctx, 2),
+     "key 2 is past the last key 1"),
     (lambda engine, ctx, query: engine.write(query, 0), "is read-only"),
-], ids=["slot-below", "slot-above", "read-negative-key",
-        "write-negative-key", "write-read-only"])
+], ids=["slot-below", "slot-above", "slot-busy", "read-negative-key",
+        "write-negative-key", "read-key-past-the-end",
+        "write-key-past-the-end", "write-read-only"])
 def test_a_refused_operation_has_no_effect(misuse, message):
     """No tid drawn, no row traced, no version installed, and the
     transactions stay in flight."""
@@ -223,20 +229,21 @@ class TestSsiCertifier:
         overwriter = engine.begin(1)
         engine.write(overwriter, 0)
         engine.commit(overwriter)
-        engine.commit(reader)  # out_rw only: no structure
+        engine.commit(reader)  # outbound only: no structure
         assert reader.status == Status.COMMITTED
-        assert reader.ssi.out_rw
 
     def test_read_only_skips_the_commit_check(self):
+        # A read-only query cannot write, so nothing raises its inbound
+        # flag: it commits although its out-partner committed first.
         engine = Engine(2, SI, SSI)
         query = engine.begin(0, read_only=True)
         engine.read(query, 0)
         overwriter = engine.begin(1)
         engine.write(overwriter, 0)
         engine.commit(overwriter)
-        query.ssi.in_rw.fetch_or(1)  # even with a (spurious) inbound flag
         engine.commit(query)
         assert query.status == Status.COMMITTED
+        assert query.ssi_partner == overwriter.cstamp < query.cstamp
 
     def test_late_reader_of_committed_pivot_aborts_itself(self):
         # pivot commits while the structure's tail reader is still in flight
