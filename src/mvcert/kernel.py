@@ -6,13 +6,14 @@ modules cite its rules by number:
 
 1. Shared words are plain slots of the object that owns them: a
    transaction's status, cstamp, sstamp and SSI flag word and the table's
-   lists and top here, a version's stamps and reader bits in store.py.
+   lists and top here, a version's stamps and reader bits and the store's
+   list of chain heads in store.py.
    Under the GIL a load or store of one attribute or list item is atomic.
 2. Every read-modify-write of a shared word is a method of its owner that
    takes one hold of RMW_LOCK, the one module-wide lock; changes that must
    be seen together share the hold.  The lock is not reentrant, so no
    read-modify-write may run another while it holds it.  An AtomicCell is
-   a word that stands alone: each record, the table pstamp and the clock.
+   a word that stands alone: the table pstamp and the clock.
 3. A word that only its owner writes changes by a plain store: a
    transaction's status (transition_status) and SSI partner stamp, a
    table slot's items, and the sstamp of a transaction that is not
@@ -228,7 +229,7 @@ class TransactionContext:
     compare-and-swap a read-mostly transaction's sstamp (the handshake) and
     may raise SSI flags; everything else is private.  Only the owner stores
     status and cstamp.  writes is the engine's write set, an
-    insertion-ordered dict from each installed version to its record.
+    insertion-ordered dict from each installed version to None.
     reads is the certifier's read set (the bare scheme keeps none), an
     insertion-ordered dict from each tracked version to None, in which
     overwriters look up versions (rule 4).  Only the SSI certifier's begin

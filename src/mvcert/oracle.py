@@ -104,25 +104,39 @@ def build_graph(events) -> DependencyGraph:
     edges are added online; the tids seen; and the forward references,
     accesses to a version whose write the pass has not met yet.
 
+    Each access also carries the stamp its row recorded for the version it
+    names, a read's ver_cstamp or a write's prev_cstamp, and once the
+    access and the version's creator have both committed, that stamp must
+    be the creator's commit stamp (0 for creator 0).  A read of the
+    reader's own version records 0 and is exempt: it adds no edge.
+
     When a trace has several faults, a line that does not parse, a second
-    begin, a second outcome line of a committed tid and a second committed
-    overwriter of one version (at its commit line) are raised as the pass
-    reaches them.  A forward reference can be judged only once its
-    creator's outcome is known, so forward references are resolved after
-    the pass, and the earliest bad one is raised.  Each names the offending
-    event by its seq, as parse_trace does (see MalformedTrace).
+    begin, a second outcome line of a committed tid, a recorded stamp that
+    is not its creator's commit stamp and a second committed overwriter of
+    one version (the last two at the line that settles the access) are
+    raised as the pass reaches them.  A forward reference can be judged
+    only once its creator's outcome is known, so forward references are
+    resolved after the pass, and the earliest bad one is raised.  Each
+    names the offending event by its seq, as parse_trace does (see
+    MalformedTrace).
     """
     graph = DependencyGraph()
     nodes = graph.nodes
     seen = set()
-    inflight = {}   # tid -> its (kind, key, creator) accesses so far
+    inflight = {}   # tid -> its (kind, key, creator, stamp) accesses so far
     versions = {}   # (key, creator) -> None | [committed readers] | overwriter
     waiting = {}    # creator in flight -> committed accesses to its versions
     forward = []    # (position, key, creator)
 
-    def settle(position, tid, kind, key, creator):
+    def settle(position, tid, kind, key, creator, stamp):
         """Add the edges of one committed access to a committed version."""
         identity = (key, creator)
+        if creator != tid:
+            committed = nodes[creator].cstamp if creator else 0
+            if stamp != committed:
+                raise MalformedTrace(position, "version %r recorded with "
+                                     "stamp %d, committed at %d"
+                                     % (identity, stamp, committed))
         state = versions.get(identity)
         if kind == "read":
             graph.add_edge(creator, tid, EDGE_WR)
@@ -146,17 +160,17 @@ def build_graph(events) -> DependencyGraph:
 
     def admit(position, tid, accesses):
         """Settle a committed tid's accesses, after creating its versions."""
-        for kind, key, _ in accesses:
+        for kind, key, _, _ in accesses:
             if kind == "write":
                 versions.setdefault((key, tid), None)
-        for kind, key, creator in accesses:
+        for access in accesses:
+            kind, key, creator, _ = access
             if creator is None:
                 continue  # a forward reference, judged after the pass
             if creator == 0 or (key, creator) in versions:
-                settle(position, tid, kind, key, creator)
+                settle(position, tid, *access)
             elif creator in inflight:
-                waiting.setdefault(creator, []).append(
-                    (tid, (kind, key, creator)))
+                waiting.setdefault(creator, []).append((tid, access))
             # else the creator aborted: the whole access is moot
 
     for event in events:
@@ -179,14 +193,15 @@ def build_graph(events) -> DependencyGraph:
             waiting.pop(tid, None)
         elif kind != "begin":
             key, creator = event.key, event.ver_creator
-            access = (kind, key, creator)
+            access = (kind, key, creator, event.ver_cstamp)
             if creator != 0 and (key, creator) not in versions and not any(
                     prior[0] == "write" and prior[1] == key
                     for prior in inflight.get(creator, ())):
                 forward.append((position, key, creator))
                 if kind == "read":
                     continue
-                access = (kind, key, None)  # it still creates (key, tid)
+                # It still creates (key, tid).
+                access = (kind, key, None, None)
             if tid in nodes:
                 admit(position, tid, [access])
             else:

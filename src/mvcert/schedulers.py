@@ -4,11 +4,12 @@ The Engine ties the clock, transaction table, store and certifier together
 behind the begin/read/write/commit/abort surface that workers and the replay
 drivers use.  The underlying scheme (SI or RC) decides which version a read
 returns and when a write conflicts; the Engine keeps the write set and the
-version installs.  The write set maps each version a transaction installed
-to its record, so rollback can unlink it.  The Engine reports every
-transaction's start, each read of a foreign version, each fresh write and
-the commit to the configured certifier through the hooks in certifier.py,
-and aborts with whatever cause a hook returns.  It makes every status
+version installs.  The write set holds each version a transaction
+installed; the version's key names the list slot rollback unlinks it from.
+The Engine reports every transaction's start, each read of a foreign
+version, each fresh write and the commit to the configured certifier
+through the hooks in certifier.py, and aborts with whatever cause a hook
+returns.  It makes every status
 change itself (kernel rule 3).  Only table scans and safe snapshots ask
 which certifier is configured, because only SSN supports them.
 
@@ -142,7 +143,7 @@ class Engine:
         if key < 0:
             raise UsageError("key %d is negative" % key)
         try:
-            record = self.records[key]
+            version = self.records[key]
         except IndexError:
             raise self._key_past_the_end(key) from None
         try:
@@ -151,12 +152,11 @@ class Engine:
             # larger than any stamp, so the head is committed and inside
             # the snapshot.  Under RC, begin_stamp is 0 and only an initial
             # head passes.  Every other head goes to the store.
-            version = record._value
             cstamp = version.cstamp
             own = False
             if cstamp > ctx.begin_stamp:
                 store = self.store
-                version = store.visible_version(ctx, record)
+                version = store.visible_version(ctx, version)
                 own = version.creator_tid == ctx.tid
                 cstamp = 0 if own else store.creation_stamp(version)
             emit = self._emit
@@ -183,11 +183,11 @@ class Engine:
         if payload is None:
             payload = ctx.tid
         try:
-            record = self.records[key]
+            head = self.records[key]
         except IndexError:
             raise self._key_past_the_end(key) from None
         try:
-            version = self.store.install_version(ctx, record, payload)
+            version = self.store.install_version(ctx, head, payload)
             emit = self._emit
             if emit is not None:
                 prev = version.prev
@@ -196,7 +196,7 @@ class Engine:
                               prev.creator_tid, prev.cstamp))
             # A repeated overwrite replaced the payload in place: nothing new.
             if version not in ctx.writes:
-                ctx.writes[version] = record
+                ctx.writes[version] = None
                 cause = self.cert.on_write(ctx, version)
                 if cause is not None:
                     self._fail(ctx, cause)

@@ -1,12 +1,18 @@
 """Multi-version record store: version chains, installs, readers, finalize.
 
-Each record is a newest-first singly linked chain of versions.  A version's
-cstamp holds the creator's transaction id until the creator's post-commit
-turns it into a real timestamp, which is also the visibility switch: readers
-skip tid-tagged versions that are not their own.  A writer appends under
-one hold of the lock: it checks that the head it saw is still the head and
-unclaimed, then links its version in and claims the old head.  Readers take
-no lock, so writers never block readers and vice versa.
+Each record is a newest-first singly linked chain of versions, and the
+store's list holds each chain's head version itself: one object per record.
+Every version carries its record's key in a slot that fills the spare
+bytes of its allocation, and a new version copies its predecessor's, so an
+install or an abort finds the list slot from the version alone.
+
+A version's cstamp holds the creator's transaction id until the creator's
+post-commit turns it into a real timestamp, which is also the visibility
+switch: readers skip tid-tagged versions that are not their own.  A writer
+appends under one hold of the lock: it checks that the head it saw is
+still the list's head and unclaimed, then links its version in and claims
+the old head.  Readers take no lock, so writers never block readers and
+vice versa.
 
 Version stamps follow a strict lifecycle.  sstamp goes +inf -> overwriter
 tid -> overwriter's successor watermark, never any other way; pstamp only
@@ -14,25 +20,23 @@ rises once the version is committed.  Aborts restore the overwritten
 version's sstamp to +inf before unlinking the dead head, in the same hold
 of the lock, so no reader can observe a dangling overwriter tid.
 
-A version's stamps and reader bitmap are plain slots (kernel rule 1).
-Their read-modify-writes (kernel rule 2) are an append with its claim
-(Store.install_version), an unlink with the claim's restore
-(Store.rollback), setting one reader bit (Store.register_reader), and a
-committer's pstamp raise over its read set (Store.finalize_commit), which
-takes the lock once per transaction, not once per version.  A record is
-itself the AtomicCell that holds the newest version of its chain; the
-table pstamp is the store's other cell.
+A version's stamps and reader bitmap, and the list's items, are plain
+slots (kernel rule 1).  Their read-modify-writes (kernel rule 2) are an
+append with its claim (Store.install_version), an unlink with the claim's
+restore (Store.rollback), setting one reader bit (Store.register_reader),
+and a committer's pstamp raise over its read set (Store.finalize_commit),
+which takes the lock once per transaction, not once per version.  The
+table pstamp is the store's one AtomicCell.
 
 Nothing in the store points back up: a version links only to its
 predecessor, and a transaction's write set maps each version it installed
-to the record whose chain it heads, which is how rollback finds the cell to
-unlink.  The store therefore holds no reference cycle, and reference
-counting frees a dropped engine, or a cut chain tail, without the cyclic
-collector.
+to None, since rollback finds the list slot through the version's key.
+The store therefore holds no reference cycle, and reference counting frees
+a dropped engine, or a cut chain tail, without the cyclic collector.
 
 For the same reason a collection during a store's build can find nothing,
 yet a large build would trip hundreds of them.  Store.__init__ therefore
-builds with the collector paused and then promotes the new records to the
+builds with the collector paused and then promotes the new versions to the
 oldest generation without walking them; its docstring says why both are
 sound.
 
@@ -67,10 +71,14 @@ class WriteConflict(Exception):
 
 
 class VersionMeta:
-    __slots__ = ("creator_tid", "cstamp", "pstamp", "sstamp", "prev",
-                 "readers", "payload")
+    """One version of a record; the initial one has creator 0 (nobody),
+    stamp 0 and payload None."""
 
-    def __init__(self, creator_tid: int, cstamp_word: int, prev, payload):
+    __slots__ = ("creator_tid", "cstamp", "pstamp", "sstamp", "prev",
+                 "readers", "payload", "key")
+
+    def __init__(self, creator_tid: int, cstamp_word: int, prev, payload,
+                 key: int):
         self.creator_tid = creator_tid
         self.cstamp = cstamp_word
         self.pstamp = 0
@@ -78,33 +86,24 @@ class VersionMeta:
         self.prev = prev
         self.readers = 0
         self.payload = payload
+        self.key = key
 
     def committed_stamp(self) -> int:
         word = self.cstamp
         assert not is_tid(word)
         return word_value(word)
 
-
-class Record(AtomicCell):
-    """One record: the cell that holds the newest version of its chain.
-
-    Every record starts with a committed "invalid" version: payload None,
-    creation stamp 0, creator 0 (nobody).
-    """
-
-    __slots__ = ()
-
-    def __init__(self):
-        self._value = VersionMeta(0, 0, None, None)
-
-    @property
-    def head(self):
-        """The record itself, for perfbench/spans.py's record.head.load()."""
+    def load(self):
+        """The version itself, so perfbench/spans.py's record.head.load()
+        yields the head the store's list holds."""
         return self
+
+    head = property(load)
 
 
 class Store:
-    """A single flat table of db_size records.
+    """A single flat table of db_size records: records[key] is the head
+    version of key's chain.
 
     The transaction table gives visibility indirection: a version whose
     creation stamp still holds the creator's tid belongs to a transaction
@@ -114,15 +113,15 @@ class Store:
     """
 
     def __init__(self, size: int, table: TransactionTable):
-        """Build size records, each with its initial version.
+        """Build size records, each an initial version.
 
-        While the collector is on and nothing is frozen, the records are
+        While the collector is on and nothing is frozen, the versions are
         built with it paused, and then every object the collector tracks is
         promoted to the oldest generation, which also resets the young
-        count.  The pause is sound because the records form no cycle:
+        count.  The pause is sound because the versions form no cycle:
         reference counting alone frees them.  The promotion is sound
         because a full collection still examines the oldest generation, so
-        any garbage promoted along with the records is found there.  A
+        any garbage promoted along with the versions is found there.  A
         collector the caller disabled, or objects the caller froze, are left
         as they are, and the build then runs unchanged.
         """
@@ -132,7 +131,8 @@ class Store:
         if pause:
             gc.disable()
         try:
-            self.records = [Record() for _ in range(size)]
+            self.records = [VersionMeta(0, 0, None, None, key)
+                            for key in range(size)]
         finally:
             if pause:
                 gc.freeze()
@@ -144,8 +144,8 @@ class Store:
         self.table = table
 
     def visible_version(self, ctx: TransactionContext,
-                        record: Record) -> VersionMeta:
-        """Version of record that ctx is allowed to read.
+                        head: VersionMeta) -> VersionMeta:
+        """Version of head's chain that ctx is allowed to read.
 
         SI returns the newest version with a committed stamp at or below the
         snapshot; RC returns the newest committed version.  Both skip versions
@@ -164,7 +164,7 @@ class Store:
         """
         snapshot = ctx.scheme is SI or ctx.snapshot_mode
         begin_stamp = ctx.begin_stamp
-        version = record._value
+        version = head
         while version is not None:
             word = version.cstamp
             if word & TID_TAG:
@@ -211,17 +211,18 @@ class Store:
                    "creation stamp of tid %d" % word_value(word))
         return word_value(version.cstamp)
 
-    def install_version(self, ctx: TransactionContext, record: Record,
+    def install_version(self, ctx: TransactionContext, head: VersionMeta,
                         payload) -> VersionMeta:
-        """Append a new uncommitted version, or refuse with WriteConflict.
+        """Append a new uncommitted version on head, or refuse with
+        WriteConflict.
 
-        Conflicts: the head is another transaction's uncommitted write, or
-        (SI only) the head committed after the writer's snapshot.  A repeated
-        overwrite by the same transaction replaces the payload in place.
-        The append and the claim of the old head happen in one hold of the
-        lock, after every check, so a refused install changes nothing.
+        Conflicts: head is another transaction's uncommitted write, or (SI
+        only) head committed after the writer's snapshot, or head is no
+        longer its chain's head.  A repeated overwrite by the same
+        transaction replaces the payload in place.  The append and the
+        claim of the old head happen in one hold of the lock, after every
+        check, so a refused install changes nothing.
         """
-        head = record._value
         head_word = head.cstamp
         if head_word & TID_TAG:
             if head_word & VALUE_MASK == ctx.tid:
@@ -231,17 +232,19 @@ class Store:
         if ctx.scheme is SI and head_word & VALUE_MASK > ctx.begin_stamp:
             raise WriteConflict("skew")
         claim = TID_TAG | ctx.tid
-        version = VersionMeta(ctx.tid, claim, head, payload)
+        key = head.key
+        version = VersionMeta(ctx.tid, claim, head, payload, key)
+        records = self.records
         with RMW_LOCK:
-            if record._value is not head:
+            if records[key] is not head:
                 # Another writer won the append race; treat like any other
                 # write-write conflict rather than blocking.
                 raise WriteConflict("uncommitted")
             # Checked before anything changes, so a failed check leaves
-            # the record as it was.
+            # the chain as it was.
             assert head.sstamp == INFINITY, \
                 "overwritten head carried a foreign overwriter tid"
-            record._value = version
+            records[key] = version
             head.sstamp = claim
         return version
 
@@ -276,28 +279,28 @@ class Store:
     def rollback(self, ctx: TransactionContext) -> None:
         """Unlink every version an aborted transaction installed.
 
-        ctx.writes maps each installed version to its record.  Each version
-        takes one hold of the lock, in which the predecessor's sstamp is
-        restored before the head is unlinked, so a concurrent reader never
-        sees an overwriter tid with no overwriter.
+        ctx.writes holds each installed version, whose key names its list
+        slot.  Each version takes one hold of the lock, in which the
+        predecessor's sstamp is restored before the head is unlinked, so a
+        concurrent reader never sees an overwriter tid with no overwriter.
         """
         claim = TID_TAG | ctx.tid
-        for version, record in reversed(ctx.writes.items()):
-            prev = version.prev
+        records = self.records
+        for version in reversed(ctx.writes):
+            prev, key = version.prev, version.key
             with RMW_LOCK:
                 assert prev.sstamp == claim, \
                     "aborting overwriter lost its sstamp claim"
-                assert record._value is version, \
+                assert records[key] is version, \
                     "aborted head was overwritten concurrently"
                 prev.sstamp = INFINITY
-                record._value = prev
+                records[key] = prev
 
     def dump_stamps(self):
         """Raw stamp words per record, oldest version first (for tests)."""
         dump = []
-        for record in self.records:
+        for version in self.records:
             chain = []
-            version = record._value
             while version is not None:
                 chain.append((version.creator_tid, version.cstamp,
                               version.pstamp, version.sstamp,
@@ -309,10 +312,12 @@ class Store:
 
     def check_chains(self) -> None:
         """Assert quiescent chain well-formedness (stress-test support)."""
-        for key, record in enumerate(self.records):
-            version = record._value
+        for key, version in enumerate(self.records):
             last = None
             while version is not None:
+                assert version.key == key, \
+                    "record %r chain holds a version of key %r" \
+                    % (key, version.key)
                 word = version.cstamp
                 assert not is_tid(word), \
                     "record %r retains an uncommitted head" % (key,)

@@ -294,7 +294,7 @@ class TestReadMostly:
             engine.clock.next()
         reader = engine.begin(3, read_mostly=True)
         engine.read(reader, 0)
-        version = engine.store.records[0].load()
+        version = engine.store.records[0]
         assert version.readers & (1 << 3)
         engine.commit(reader)
         assert version.readers & (1 << 3)          # never cleared
@@ -416,7 +416,7 @@ class TestReadMostly:
         assert engine.commit(r) == engine.table.last_cstamp(1) == 8
         p = engine.begin(1)
         engine.read(p, x)
-        read = engine.store.records[x].load()
+        read = engine.store.records[x]
         assert engine.table.reader_slots(read) == 1 << 1
         assert engine.table.reader_slots(read, False) == 0
         engine.write(u, x)
@@ -520,7 +520,7 @@ class TestReaderBits:
         engine.write(seed, 0)
         engine.write(seed, 1)
         engine.commit(seed)
-        return engine, [engine.store.records[key].load() for key in (0, 1)]
+        return engine, [engine.store.records[key] for key in (0, 1)]
 
     def test_plain_reader_raises_no_bit_and_the_table_reports_it(self):
         engine, (first, second) = self._seeded()
@@ -555,7 +555,7 @@ class TestReaderBits:
         seed = engine.begin(0)
         engine.write(seed, 0)
         engine.commit(seed)
-        version = engine.store.records[0].load()
+        version = engine.store.records[0]
         reader = engine.begin(1, read_mostly=True)
         engine.read(reader, 0)
         for _ in range(5):
@@ -598,7 +598,7 @@ class TestReaderBits:
             engine.abort(t)
         else:
             engine.commit(t)
-        assert engine.store.records[x].load().readers == 1 << 1
+        assert engine.store.records[x].readers == 1 << 1
         with pytest.raises(TransactionAborted) as failure:
             engine.write(o, x)
             engine.commit(o)
@@ -813,7 +813,7 @@ class TestParallelFinalization:
             engine = Engine(2, SI, certifier)
             reader = engine.begin(0)
             engine.read(reader, 0)
-            version = engine.store.records[0].load()
+            version = engine.store.records[0]
             writer = engine.begin(1)
             engine.write(writer, 0)
             paused, release = threading.Event(), threading.Event()

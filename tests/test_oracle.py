@@ -179,6 +179,47 @@ class TestBuildGraph:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err == "error: event 5: %s\n" % message
 
+    @pytest.mark.parametrize("access, message", [
+        ("read 2 1 0 1 999", "version (0, 1) recorded with stamp 999, "
+                             "committed at 5"),
+        ("write 2 1 0 1 7", "version (0, 1) recorded with stamp 7, "
+                            "committed at 5"),
+    ], ids=["read", "write"])
+    def test_a_stamp_that_is_not_the_creators_commit_stamp_is_diagnosed(
+            self, tmp_path, capsys, access, message):
+        text = ("begin 1 0\nwrite 1 0 0 0 0\ncommit 1 0 5\nbegin 2 1\n"
+                + access + "\ncommit 2 1 7\n")
+        with pytest.raises(MalformedTrace) as caught:
+            build_graph(trace(text))
+        assert str(caught.value) == "event 5: " + message
+        path = tmp_path / "bad-stamp.trace"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == "error: event 5: %s\n" % message
+
+    def test_a_stamp_is_checked_once_its_creator_commits(self):
+        # The reader commits first, so the line that settles the read is
+        # its creator's commit line.
+        with pytest.raises(MalformedTrace, match="stamp 4, committed at 5") \
+                as caught:
+            build_graph(trace("""
+                begin 1 0
+                write 1 0 0 0 0
+                begin 2 1
+                read 2 1 0 1 4
+                commit 2 1 7
+                commit 1 0 5
+            """))
+        assert caught.value.index == 5
+
+    def test_a_read_of_the_readers_own_version_records_no_stamp(
+            self, tmp_path, capsys):
+        path = tmp_path / "own-read.trace"
+        path.write_text("begin 1 0\nwrite 1 0 0 0 0\nread 1 0 0 1 0\n"
+                        "commit 1 0 5\n")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("serializable")
+
     def test_read_before_its_creators_write_is_diagnosed(self):
         # The creator is already in flight, but has not written key 0 yet.
         events = trace("""
@@ -659,8 +700,8 @@ class TestScripts:
         assert [event.tid for event in result.trace
                 if event.kind == "abort"] == [result.tids[label]
                                               for label in ("T1", "T2", "T3")]
-        assert all(record.load().creator_tid == 0
-                   for record in result.engine.store.records)
+        assert all(head.creator_tid == 0
+                   for head in result.engine.store.records)
 
     def test_more_transactions_than_worker_slots_is_a_script_error(self):
         script = "".join("T%d read x\n" % n for n in range(65))

@@ -300,7 +300,7 @@ class TestPlainSchemes:
         writer = engine.begin(0)
         engine.write(writer, 0, "x")
         engine.commit(writer)
-        version = engine.store.records[0].load()
+        version = engine.store.records[0]
         reader = engine.begin(1)
         assert engine.read(reader, 0) == "x"
         assert version.readers == 0
@@ -439,8 +439,8 @@ class TestFailureAtomicity:
         seed = engine.begin(0)
         engine.write(seed, 1, "old")
         engine.commit(seed)
-        old = engine.store.records[1].load()
-        read = engine.store.records[0].load()
+        old = engine.store.records[1]
+        read = engine.store.records[0]
         ctx = engine.begin(0)
         engine.read(ctx, 0)
         engine.write(ctx, 1, "doomed")
@@ -454,7 +454,7 @@ class TestFailureAtomicity:
         monkeypatch.undo()
 
         assert ctx.status == Status.ABORTED
-        assert engine.store.records[1].load() is old
+        assert engine.store.records[1] is old
         assert old.sstamp == INFINITY
         assert read.readers == 0
         later = engine.begin(0)                 # the slot is free again
@@ -474,7 +474,7 @@ class TestFailureAtomicity:
         seed = engine.begin(0)
         engine.write(seed, 1, "old")
         engine.commit(seed)
-        old, untouched = (engine.store.records[key].load() for key in (1, 2))
+        old, untouched = (engine.store.records[key] for key in (1, 2))
         ctx = engine.begin(1)
         engine.write(ctx, 1, "doomed")
 
@@ -490,8 +490,8 @@ class TestFailureAtomicity:
         monkeypatch.undo()
 
         assert ctx.status == Status.ABORTED
-        assert engine.store.records[1].load() is old
-        assert engine.store.records[2].load() is untouched
+        assert engine.store.records[1] is old
+        assert engine.store.records[2] is untouched
         assert old.sstamp == untouched.sstamp == INFINITY
         assert engine.table.current[1] is None
         later = engine.begin(1)                 # the slot is free again

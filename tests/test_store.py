@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -21,10 +22,10 @@ def make_ctx(table, slot=0, scheme=Scheme.SI, begin=0):
     return ctx
 
 
-def committed_version(store, record, ctx, stamp, payload):
+def committed_version(store, key, ctx, stamp, payload):
     """Install and immediately finalize one version (test plumbing)."""
-    version = store.install_version(ctx, record, payload)
-    ctx.writes[version] = record
+    version = store.install_version(ctx, store.records[key], payload)
+    ctx.writes[version] = None
     transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
     ctx.cstamp = stamp
     ctx.fold_sstamp(stamp)
@@ -46,12 +47,21 @@ def store(table):
 
 class TestInitialState:
     def test_every_record_has_an_invalid_initial_version(self, store):
-        for record in store.records:
-            head = record.load()
+        for head in store.records:
             assert head.payload is None
             assert head.creator_tid == 0
             assert head.cstamp == 0
             assert head.prev is None
+
+    def test_the_list_holds_each_initial_version_itself(self, store):
+        for key, head in enumerate(store.records):
+            assert type(head) is VersionMeta
+            assert head.key == key and head.prev is None
+
+    def test_a_version_fits_the_96_byte_block(self):
+        # The key filled the last spare word: one more slot would move
+        # every version into the next size class.
+        assert sys.getsizeof(VersionMeta(0, 0, None, None, 0)) <= 96
 
     def test_initial_version_is_visible_but_not_found_when_required(self):
         engine = Engine(4)
@@ -62,49 +72,46 @@ class TestInitialState:
 class TestVisibility:
     def _chain(self, store, table):
         # record 0 carries committed versions with stamps 3 and 7
-        record = store.records[0]
-        committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "v3")
-        committed_version(store, record, make_ctx(table, 1, Scheme.RC), 7, "v7")
-        return record
+        committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 3, "v3")
+        committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 7, "v7")
 
     def test_si_returns_newest_at_or_below_snapshot(self, store, table):
-        record = self._chain(store, table)
+        self._chain(store, table)
         ctx = make_ctx(table, 0, Scheme.SI, begin=5)
-        assert store.visible_version(ctx, record).payload == "v3"
+        assert store.visible_version(ctx, store.records[0]).payload == "v3"
 
     def test_rc_returns_newest_committed(self, store, table):
-        record = self._chain(store, table)
+        self._chain(store, table)
         ctx = make_ctx(table, 0, Scheme.RC)
-        assert store.visible_version(ctx, record).payload == "v7"
+        assert store.visible_version(ctx, store.records[0]).payload == "v7"
 
     def test_rc_skips_inflight_head(self, store, table):
-        record = self._chain(store, table)
+        self._chain(store, table)
         writer = make_ctx(table, 2, Scheme.RC)
-        store.install_version(writer, record, "dirty")
+        store.install_version(writer, store.records[0], "dirty")
         reader = make_ctx(table, 0, Scheme.RC)
-        assert store.visible_version(reader, record).payload == "v7"
+        assert store.visible_version(reader, store.records[0]).payload == "v7"
 
     def test_read_own_uncommitted_write(self, store, table):
-        record = self._chain(store, table)
+        self._chain(store, table)
         writer = make_ctx(table, 2, Scheme.SI, begin=7)
-        store.install_version(writer, record, "mine")
-        assert store.visible_version(writer, record).payload == "mine"
+        store.install_version(writer, store.records[0], "mine")
+        assert store.visible_version(writer, store.records[0]).payload == "mine"
 
     def test_committed_creator_mid_postcommit_is_visible(self, store, table):
         # A creator that survived pre-commit counts as committed even while
         # its stamps are pending; readers resolve it through the table.
-        record = store.records[0]
-        committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "v3")
+        committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 3, "v3")
         writer = make_ctx(table, 2, Scheme.SI, begin=3)
-        version = store.install_version(writer, record, "v9")
-        writer.writes[version] = record
+        version = store.install_version(writer, store.records[0], "v9")
+        writer.writes[version] = None
         transition_status(writer, Status.INFLIGHT, Status.COMMITTING)
         writer.cstamp = 9
         transition_status(writer, Status.COMMITTING, Status.COMMITTED)
         # post-commit has not run yet: cstamp still carries the tid, but the
         # stamp resolves through the creator's context
         reader = make_ctx(table, 0, Scheme.RC)
-        got = store.visible_version(reader, record)
+        got = store.visible_version(reader, store.records[0])
         assert got.payload == "v9"
         assert is_tid(got.cstamp)
         assert store.creation_stamp(got) == 9
@@ -112,67 +119,61 @@ class TestVisibility:
 
 class TestInstall:
     def test_si_temporal_skew_conflict(self, store, table):
-        record = store.records[0]
-        committed_version(store, record, make_ctx(table, 1, Scheme.RC), 7, "v7")
+        committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 7, "v7")
         writer = make_ctx(table, 0, Scheme.SI, begin=5)
         with pytest.raises(WriteConflict) as failure:
-            store.install_version(writer, record, "late")
+            store.install_version(writer, store.records[0], "late")
         assert failure.value.kind == "skew"
 
     def test_rc_overwrites_newer_committed_head(self, store, table):
-        record = store.records[0]
-        committed_version(store, record, make_ctx(table, 1, Scheme.RC), 7, "v7")
+        committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 7, "v7")
         writer = make_ctx(table, 0, Scheme.RC)
-        version = store.install_version(writer, record, "v8")
+        version = store.install_version(writer, store.records[0], "v8")
         assert is_tid(version.cstamp)
         assert word_value(version.cstamp) == writer.tid
-        assert record.load() is version
+        assert store.records[0] is version
 
     def test_uncommitted_head_conflicts(self, store, table):
-        record = store.records[0]
         first = make_ctx(table, 1, Scheme.RC)
-        store.install_version(first, record, "w1")
+        store.install_version(first, store.records[0], "w1")
         second = make_ctx(table, 2, Scheme.RC)
         with pytest.raises(WriteConflict) as failure:
-            store.install_version(second, record, "w2")
+            store.install_version(second, store.records[0], "w2")
         assert failure.value.kind == "uncommitted"
 
     def test_install_claims_previous_sstamp(self, store, table):
-        record = store.records[0]
-        prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "v3")
+        prev = committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 3, "v3")
         writer = make_ctx(table, 0, Scheme.RC)
-        store.install_version(writer, record, "v4")
+        store.install_version(writer, store.records[0], "v4")
         assert prev.sstamp == TID_TAG | writer.tid
 
     def test_repeated_own_overwrite_replaces_payload_in_place(self, store, table):
-        record = store.records[0]
         writer = make_ctx(table, 0, Scheme.RC)
-        first = store.install_version(writer, record, "a")
-        second = store.install_version(writer, record, "b")
+        first = store.install_version(writer, store.records[0], "a")
+        second = store.install_version(writer, store.records[0], "b")
         assert second is first
         assert first.payload == "b"
-        assert first.prev is record.load().prev
+        assert first.prev is store.records[0].prev
 
 
 class TestReaders:
     def test_register_sets_the_slot_bit(self, store):
-        version = store.records[0].load()
+        version = store.records[0]
         store.register_reader(version, 2)
         assert version.readers == 1 << 2
 
     def test_register_is_idempotent_and_keeps_other_slots(self, store):
-        version = store.records[0].load()
+        version = store.records[0]
         store.register_reader(version, 5)
         store.register_reader(version, 5)
         store.register_reader(version, 2)
         assert version.readers == 1 << 5 | 1 << 2
-        assert store.records[1].load().readers == 0
+        assert store.records[1].readers == 0
 
 
 class TestFinalizeAndRollback:
     def test_commit_raises_read_pstamps(self, store, table):
-        record = store.records[0]
-        version = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
+        version = committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 3, "x")
         version.pstamp = 4
         reader = make_ctx(table, 0, Scheme.RC)
         reader.reads[version] = None
@@ -184,9 +185,8 @@ class TestFinalizeAndRollback:
         assert version.pstamp == 9
 
     def test_commit_finalizes_overwritten_sstamp_and_new_stamps(self, store, table):
-        record = store.records[0]
-        prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
-        version = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 9, "y")
+        prev = committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 3, "x")
+        version = committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 9, "y")
         final = prev.sstamp
         assert not is_tid(final)
         assert word_value(final) == 9
@@ -194,25 +194,23 @@ class TestFinalizeAndRollback:
         assert version.pstamp == 9
 
     def test_rollback_restores_chain_and_sstamp(self, store, table):
-        record = store.records[0]
-        prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
+        prev = committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 3, "x")
         writer = make_ctx(table, 0, Scheme.RC)
-        version = store.install_version(writer, record, "doomed")
-        writer.writes[version] = record
+        version = store.install_version(writer, store.records[0], "doomed")
+        writer.writes[version] = None
         transition_status(writer, Status.INFLIGHT, Status.ABORTED)
         store.rollback(writer)
-        assert record.load() is prev
+        assert store.records[0] is prev
         assert prev.sstamp == INFINITY
 
     def test_own_overwritten_reads_keep_their_stamps(self, store, table):
         # A version the transaction both read and overwrote is dropped from
         # stamp propagation: its access stamp dies with the overwrite.
-        record = store.records[0]
-        prev = committed_version(store, record, make_ctx(table, 1, Scheme.RC), 3, "x")
+        prev = committed_version(store, 0, make_ctx(table, 1, Scheme.RC), 3, "x")
         ctx = make_ctx(table, 0, Scheme.RC)
         ctx.reads[prev] = None
-        version = store.install_version(ctx, record, "y")
-        ctx.writes[version] = record
+        version = store.install_version(ctx, store.records[0], "y")
+        ctx.writes[version] = None
         transition_status(ctx, Status.INFLIGHT, Status.COMMITTING)
         ctx.cstamp = 8
         ctx.fold_sstamp(8)
@@ -253,9 +251,22 @@ def test_store_chain_validator_detects_out_of_order_stamps():
     ctx = engine.begin(0)
     engine.write(ctx, 1)
     engine.commit(ctx)
-    engine.store.records[1].load().cstamp = 0   # ties the initial version
+    engine.store.records[1].cstamp = 0   # ties the initial version
     with pytest.raises(AssertionError,
                        match="record 1 chain stamps not strictly increasing"):
+        engine.store.check_chains()
+
+
+def test_store_chain_validator_detects_a_version_of_another_key():
+    engine = Engine(3, Scheme.SI, CertifierMode.SSN)
+    for _ in range(2):
+        ctx = engine.begin(0)
+        engine.write(ctx, 1)
+        engine.commit(ctx)
+    engine.store.check_chains()
+    engine.store.records[1].prev.key = 2   # the middle of a committed chain
+    with pytest.raises(AssertionError,
+                       match="record 1 chain holds a version of key 2"):
         engine.store.check_chains()
 
 
@@ -269,20 +280,19 @@ def test_a_failed_claim_check_changes_nothing_and_frees_the_key():
     # install that fails the check leaves the head and its sstamp as they
     # were, and once the claim is gone the next writer of the key commits.
     engine = Engine(2, Scheme.SI, CertifierMode.SSN)
-    record = engine.store.records[0]
-    head = record.load()
+    head = engine.store.records[0]
     foreign = TID_TAG | 129
     head.sstamp = foreign
     writer = engine.begin(0)
     with pytest.raises(AssertionError, match="foreign overwriter tid"):
         engine.write(writer, 0)
     assert writer.status == Status.ABORTED
-    assert record.load() is head and head.sstamp == foreign
+    assert engine.store.records[0] is head and head.sstamp == foreign
     head.sstamp = INFINITY
     successor = engine.begin(0)
     engine.write(successor, 0)
     engine.commit(successor)
-    assert record.load().prev is head
+    assert engine.store.records[0].prev is head
     assert head.sstamp == successor.cstamp
 
 
@@ -316,7 +326,7 @@ class TestReclamation:
             before = tracemalloc.get_traced_memory()[0]
             head = None
             for tid in range(1, 200_001):
-                head = VersionMeta(tid, tid, head, None)
+                head = VersionMeta(tid, tid, head, None, 0)
             built = tracemalloc.get_traced_memory()[0] - before
             del head
             left = tracemalloc.get_traced_memory()[0] - before
@@ -363,8 +373,7 @@ class TestCollectorPause:
             self, table):
         store = Store(5_000, table)
         oldest = {id(obj) for obj in gc.get_objects(generation=2)}
-        assert all(id(record) in oldest and id(record.load()) in oldest
-                   for record in store.records)
+        assert all(id(head) in oldest for head in store.records)
 
     def test_a_callers_frozen_objects_stay_frozen(self, table):
         gc.freeze()
@@ -379,13 +388,13 @@ class TestCollectorPause:
     def test_a_failed_build_restores_the_collector(self, table, monkeypatch):
         built = []
 
-        def failing_record():
+        def failing_version(*args):
             if len(built) == 50:
                 raise MemoryError("build failed")
             built.append(None)
-            return mvcert.store.AtomicCell()
+            return None
 
-        monkeypatch.setattr(mvcert.store, "Record", failing_record)
+        monkeypatch.setattr(mvcert.store, "VersionMeta", failing_version)
         with pytest.raises(MemoryError):
             Store(100, table)
         assert gc.isenabled()
