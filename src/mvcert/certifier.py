@@ -41,13 +41,14 @@ After the read set, SSN's pre-commit runs the reader sweep and handshake,
 the table and snapshot pstamps, the seal of a read-mostly transaction's
 sstamp, and the window test.
 
-SSN also owns the active safe snapshot (a published stamp that acts as a
-reader of every record, folded into overwriters' pstamp), the read-only
-commit-stamp rule (empty write set under SI commits at its snapshot time),
-the untracked-read filter for read-mostly transactions (stale reads, and
-every read after a table scan) plus the sstamp handshake that lets updaters
-push their watermark into untracked readers, and the table pstamp that table
-scans raise and table updates fold in.  Reader bits mark only untracked
+SSN also honours the active safe snapshot (a stamp the clock publishes in
+the hold of the lock that draws it, which acts as a reader of every record,
+folded into overwriters' pstamp).  It owns the read-only commit-stamp rule
+(empty write set under SI commits at its snapshot time), the untracked-read
+filter for read-mostly transactions (stale reads, and every read after a
+table scan) plus the sstamp handshake that lets updaters push their
+watermark into untracked readers, and the table pstamp that table scans
+raise and table updates fold in.  Reader bits mark only untracked
 reads and are never cleared; an overwriter finds tracked readers in the read
 sets of the transactions still in the table.
 
@@ -67,9 +68,9 @@ overwrote.
 from __future__ import annotations
 
 from .kernel import (
-    INFINITY, LOCK_BIT, PENDING, SI, TID_TAG, VALUE_MASK, GlobalClock,
-    TableMode, TransactionContext, TransactionTable, is_tid, settle,
-    spin_until, word_value,
+    INFINITY, PENDING, SI, TID_TAG, GlobalClock, TableMode,
+    TransactionContext, TransactionTable, is_tid, settle, spin_until,
+    word_value,
 )
 from .store import Store, VersionMeta
 
@@ -110,7 +111,7 @@ def overwriter_outcome(table: TransactionTable, version: VersionMeta,
             if stamp == PENDING:
                 return "pending", peer
             if stamp:
-                return "committed", word_value(peer.sstamp)
+                return "committed", peer.sstamp
         spin_until(lambda: version.sstamp != word,
                    "overwriter %d to conclude" % word_value(word))
 
@@ -162,21 +163,18 @@ class ExclusionCertifier(Certifier):
         super().__init__(clock, table, store)
         self.observe = observe
         self.threshold = threshold
-        self._snapshot = 0  # stamp of the active safe snapshot, 0 for none
 
     # ---------------- safe snapshots ----------------
 
-    def take_safe_snapshot(self) -> int:
-        self._snapshot = self.clock.next()
-        return self._snapshot
-
     def begin(self, ctx: TransactionContext) -> None:
-        if ctx.read_only and self._snapshot:
-            # Read-only queries on the safe snapshot skip certification
-            # entirely; the snapshot stamp is both visibility cut and
-            # commit stamp.
-            ctx.snapshot_mode = True
-            ctx.begin_stamp = self._snapshot
+        if ctx.read_only:
+            snapshot = self.clock.snapshot
+            if snapshot:
+                # Read-only queries on the safe snapshot skip certification
+                # entirely; the snapshot stamp is both visibility cut and
+                # commit stamp.
+                ctx.snapshot_mode = True
+                ctx.begin_stamp = snapshot
 
     def _snapshot_pstamp(self, ctx: TransactionContext) -> int:
         """Stamp the active snapshot contributes to ctx's pstamp, or 0.
@@ -186,7 +184,7 @@ class ExclusionCertifier(Certifier):
         and overwrites any version created before it inherits the snapshot
         stamp as a committed predecessor.
         """
-        snapshot = self._snapshot
+        snapshot = self.clock.snapshot
         if not snapshot or ctx.start_stamp >= snapshot:
             return 0
         for version in ctx.writes:
@@ -240,8 +238,8 @@ class ExclusionCertifier(Certifier):
             # all: pre-commit resolves the overwrite through the table.
             ctx.reads[version] = None
         else:
-            ctx.fold_sstamp(word & VALUE_MASK)
-        if ctx.sstamp & VALUE_MASK <= ctx.pstamp:
+            ctx.fold_sstamp(word)
+        if ctx.sstamp <= ctx.pstamp:
             return self._violation(ctx)
         return None
 
@@ -258,7 +256,7 @@ class ExclusionCertifier(Certifier):
         pstamp = version.prev.pstamp
         if pstamp > ctx.pstamp:
             ctx.pstamp = pstamp
-        if ctx.sstamp & VALUE_MASK <= ctx.pstamp:
+        if ctx.sstamp <= ctx.pstamp:
             return self._violation(ctx)
         return None
 
@@ -317,27 +315,6 @@ class ExclusionCertifier(Certifier):
             # none / pending contribute nothing
         return self._window_test(ctx)
 
-    @staticmethod
-    def _handshake(reader: TransactionContext, sstamp: int) -> bool:
-        """Push an updater's successor watermark into a reader's sstamp.
-
-        The reader is read-mostly and read a version the updater overwrites,
-        so the updater is its successor and the reader's watermark must fall
-        to the updater's, not merely to its commit stamp: the updater's own
-        successors are the reader's transitive successors too.  Success means
-        the reader will test its window with the lowered value.  A sealed
-        sstamp (lock bit set) can no longer be influenced; the updater must
-        abort instead.
-        """
-        while True:
-            word = reader.sstamp
-            if word & VALUE_MASK <= sstamp:
-                return True
-            if word & LOCK_BIT:
-                return False
-            if reader.swap_sstamp(word, sstamp):
-                return True
-
     def _window_test(self, ctx: TransactionContext) -> str | None:
         """The tail of the commit check, once the read set is folded.
 
@@ -390,7 +367,10 @@ class ExclusionCertifier(Certifier):
                 if stamp > pstamp:
                     pstamp = stamp
                 elif stamp == PENDING and reader.read_mostly:
-                    if not self._handshake(reader, ctx.sstamp & VALUE_MASK):
+                    # The reader's watermark must fall to this updater's,
+                    # not merely to its commit stamp: the updater's own
+                    # successors are the reader's transitive successors.
+                    if not reader.push_sstamp(ctx.sstamp):
                         handshake_failed = True
             if prev.pstamp > pstamp:
                 pstamp = prev.pstamp
@@ -402,12 +382,12 @@ class ExclusionCertifier(Certifier):
             table_pstamp = self.store.table_pstamp.load()
             if table_pstamp > pstamp:
                 pstamp = ctx.pstamp = table_pstamp
-        snap = self._snapshot_pstamp(ctx) if self._snapshot else 0
+        snap = self._snapshot_pstamp(ctx) if self.clock.snapshot else 0
         if ctx.read_mostly:
-            # From here on no updater may lower our sstamp; one that tries
-            # will fail its compare-and-swap and abort itself.
+            # From here on no updater may lower our sstamp; one whose push
+            # the seal refuses aborts itself.
             ctx.seal_sstamp()
-        pi = ctx.sstamp & VALUE_MASK
+        pi = ctx.sstamp
         # A watermark equal to the own commit stamp means no back-edge
         # successor exists, so no predecessor can fall inside the window.
         # The distinction only matters for empty-write-set commits, whose

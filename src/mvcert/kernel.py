@@ -5,20 +5,21 @@ This docstring is the one statement of the concurrency contract; the other
 modules cite its rules by number:
 
 1. Shared words are plain slots of the object that owns them: a
-   transaction's status, cstamp, sstamp and SSI flag word and the table's
-   lists and top here, a version's stamps and reader bits and the store's
-   list of chain heads in store.py.
+   transaction's status, cstamp, sstamp, seal flag and SSI flag word and
+   the table's lists and top here, a version's stamps and reader bits and
+   the store's list of chain heads in store.py.
    Under the GIL a load or store of one attribute or list item is atomic.
 2. Every read-modify-write of a shared word is a method of its owner that
    takes one hold of RMW_LOCK, the one module-wide lock; changes that must
    be seen together share the hold.  The lock is not reentrant, so no
    read-modify-write may run another while it holds it.  An AtomicCell is
-   a word that stands alone: the table pstamp and the clock.
+   a word that stands alone: the table pstamp and the clock, whose
+   safe-snapshot draw publishes its stamp in the same hold.
 3. A word that only its owner writes changes by a plain store: a
    transaction's status (transition_status) and SSI partner stamp, a
    table slot's items, and the sstamp of a transaction that is not
-   read-mostly, since peers write only a read-mostly reader's sstamp (the
-   handshake).
+   read-mostly, since peers lower only a read-mostly reader's sstamp,
+   through push_sstamp (the handshake).
 4. A C call that runs no bytecode is atomic under the GIL: the tid draw
    (next() on an itertools.count), a trace row append (array.frombytes),
    and a lookup in a peer's read set, a dict of versions hashed by
@@ -33,7 +34,6 @@ modules cite its rules by number:
 
 Stamp words are 64-bit integers with a fixed layout:
 
-    bit 63        lock flag (used only to seal a transaction's sstamp)
     bit 62        tag: 1 = transaction id, 0 = timestamp
     bits 0..61    value
 
@@ -41,9 +41,10 @@ Timestamp value 0 is reserved as "invalid"; the global clock never issues it.
 The +infinity sentinel used for successor stamps is the largest representable
 timestamp value, which preserves min() semantics without special cases.
 A timestamp word is its value, and a transaction id's word is
-``TID_TAG | tid``.  The operation path tests ``word & TID_TAG`` and masks
-with ``VALUE_MASK`` inline; three helpers serve the cold paths and the
-tests: is_tid, is_locked and word_value.
+``TID_TAG | tid``.  Only a version's words carry the tag; a transaction's
+stamps are plain timestamps.  The operation path tests ``word & TID_TAG``
+and masks with ``VALUE_MASK`` inline; two helpers serve the cold paths and
+the tests: is_tid and word_value.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from enum import Enum, IntEnum
 VALUE_BITS = 62
 VALUE_MASK = (1 << VALUE_BITS) - 1
 TID_TAG = 1 << 62
-LOCK_BIT = 1 << 63
 INFINITY = VALUE_MASK  # timestamp-tagged "no successor yet" sentinel
 
 MAX_WORKERS = 64
@@ -90,10 +90,6 @@ class TransactionAborted(Exception):
 
 def is_tid(word: int) -> bool:
     return bool(word & TID_TAG)
-
-
-def is_locked(word: int) -> bool:
-    return bool(word & LOCK_BIT)
 
 
 def word_value(word: int) -> int:
@@ -147,7 +143,6 @@ class AtomicCell:
     def fold_min(self, value: int) -> int:
         """Lower the cell to value if smaller; returns the new content."""
         with RMW_LOCK:
-            assert not is_locked(self._value)
             if value < self._value:
                 self._value = value
             return self._value
@@ -170,15 +165,30 @@ def spin_until(cond, what: str) -> None:
 
 
 class GlobalClock:
-    """Strictly increasing timestamp source backed by one fetch-and-add."""
+    """Strictly increasing timestamp source backed by one fetch-and-add.
 
-    __slots__ = ("_cell",)
+    snapshot is the stamp of the active safe snapshot, 0 for none.  Only
+    draw_snapshot stores it, in the hold of the lock that draws it, so a
+    commit that draws a later stamp finds the snapshot published.
+    """
+
+    __slots__ = ("_cell", "snapshot")
 
     def __init__(self):
         self._cell = AtomicCell(0)
+        self.snapshot = 0
 
     def next(self) -> int:
         value = self._cell.fetch_add(1) + 1
+        assert value < INFINITY, "timestamp counter exhausted"
+        return value
+
+    def draw_snapshot(self) -> int:
+        """Draw a stamp and publish it as the safe snapshot; returns it."""
+        cell = self._cell
+        with RMW_LOCK:
+            value = cell._value + 1
+            cell._value = self.snapshot = value
         assert value < INFINITY, "timestamp counter exhausted"
         return value
 
@@ -225,11 +235,12 @@ NO_TABLE_MODES = frozenset()
 class TransactionContext:
     """Per-transaction state, owned by one worker thread.
 
-    Peers may read status, cstamp, sstamp and the two SSI words, may
-    compare-and-swap a read-mostly transaction's sstamp (the handshake) and
-    may raise SSI flags; everything else is private.  Only the owner stores
-    status and cstamp.  writes is the engine's write set, an
-    insertion-ordered dict from each installed version to None.
+    Peers may read status, cstamp, sstamp and the two SSI words, may lower
+    a read-mostly transaction's sstamp through push_sstamp (the handshake)
+    and may raise SSI flags; everything else is private.  Only the owner
+    stores status and cstamp, and seals sstamp.  writes is the engine's
+    write set, an insertion-ordered dict from each installed version to
+    None.
     reads is the certifier's read set (the bare scheme keeps none), an
     insertion-ordered dict from each tracked version to None, in which
     overwriters look up versions (rule 4).  Only the SSI certifier's begin
@@ -241,8 +252,8 @@ class TransactionContext:
 
     __slots__ = (
         "tid", "slot", "scheme", "read_only", "read_mostly", "snapshot_mode",
-        "status", "cstamp", "pstamp", "sstamp", "begin_stamp", "start_stamp",
-        "reads", "writes", "table_modes", "untracked_reads",
+        "status", "cstamp", "pstamp", "sstamp", "sealed", "begin_stamp",
+        "start_stamp", "reads", "writes", "table_modes", "untracked_reads",
         "observed_violation", "ssi_flags", "ssi_partner",
     )
 
@@ -259,6 +270,7 @@ class TransactionContext:
         self.cstamp = 0
         self.pstamp = 0
         self.sstamp = INFINITY
+        self.sealed = False
         self.begin_stamp = begin_stamp
         self.start_stamp = start_stamp
         self.reads = {}
@@ -270,32 +282,36 @@ class TransactionContext:
     def fold_sstamp(self, value: int) -> int:
         """Lower sstamp to value if smaller; returns the new content.
 
-        Only the owner folds, and only before sealing, so a locked word
-        never shows up here; the fold takes the lock only when the
-        transaction is read-mostly (rule 3).
+        Only the owner folds, and only before sealing.  Peers lower a
+        read-mostly transaction's sstamp too, so its fold is a push; any
+        other is a plain store (rule 3).
         """
-        if not self.read_mostly:
-            if value < self.sstamp:
-                self.sstamp = value
-            return self.sstamp
-        with RMW_LOCK:
-            assert not is_locked(self.sstamp)
-            if value < self.sstamp:
-                self.sstamp = value
-            return self.sstamp
+        if self.read_mostly:
+            lowered = self.push_sstamp(value)
+            assert lowered, "a read-mostly owner folded after its seal"
+        elif value < self.sstamp:
+            self.sstamp = value
+        return self.sstamp
 
     def seal_sstamp(self) -> None:
-        """Set the lock bit; from then on no handshake can lower sstamp."""
+        """Seal sstamp: from then on no push can lower it."""
         with RMW_LOCK:
-            self.sstamp |= LOCK_BIT
+            self.sealed = True
 
-    def swap_sstamp(self, expected: int, new: int) -> bool:
-        """Compare-and-swap of sstamp, for a peer's handshake."""
+    def push_sstamp(self, value: int) -> bool:
+        """Lower sstamp to value unless the seal holds it above value; the
+        handshake.  Returns whether sstamp ends at or below value.
+
+        sstamp only falls, and once sealed it never moves, so both answers
+        that change nothing are read before the lock is taken, the seal
+        first, and checked again inside it: the lock is held only to lower.
+        """
+        if self.sealed or self.sstamp <= value:
+            return self.sstamp <= value
         with RMW_LOCK:
-            if self.sstamp == expected:
-                self.sstamp = new
-                return True
-            return False
+            if self.sstamp > value and not self.sealed:
+                self.sstamp = value
+            return self.sstamp <= value
 
     def set_ssi_flags(self, bits: int) -> int:
         """Raise bits in ssi_flags; returns the word as it was."""

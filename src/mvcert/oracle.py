@@ -379,9 +379,10 @@ def parse_script(text: str,
                  keys: dict[str, int] | None = None) -> list[ScriptStep]:
     """Parse the schedule DSL: one step per line, `label op [key]`.
 
-    Keys may be arbitrary tokens; they map to record indexes in order of
-    first appearance.  Several scripts number their keys together when they
-    share one keys dict, which this call extends.  Comments start with '#'.
+    read and write take a key; commit and abort take none.  Keys may be
+    arbitrary tokens; they map to record indexes in order of first
+    appearance.  Several scripts number their keys together when they share
+    one keys dict, which this call extends.  Comments start with '#'.
     """
     steps = []
     if keys is None:
@@ -399,6 +400,8 @@ def parse_script(text: str,
             if len(fields) != 3:
                 raise UsageError("script line %d: %s needs a key" % (lineno, op))
             key = keys.setdefault(fields[2], len(keys))
+        elif len(fields) == 3:
+            raise UsageError("script line %d: %s takes no key" % (lineno, op))
         steps.append(ScriptStep(label, op, key))
     return steps
 

@@ -228,10 +228,10 @@ class Engine:
         ctx.table_modes = ctx.table_modes | {TableMode(mode) for mode in modes}
 
     def take_safe_snapshot(self) -> int:
-        """Publish a safe snapshot; returns its stamp."""
+        """Draw and publish a safe snapshot in one step; returns its stamp."""
         if self.certifier is not CertifierMode.SSN:
             raise UsageError("safe snapshots need the ssn certifier")
-        return self.cert.take_safe_snapshot()
+        return self.clock.draw_snapshot()
 
     # ---------------- commit ----------------
 

@@ -270,7 +270,7 @@ class Store:
                 for version in ctx.reads:
                     if version.sstamp != own and cstamp > version.pstamp:
                         version.pstamp = cstamp
-        pi = ctx.sstamp & VALUE_MASK
+        pi = ctx.sstamp
         for version in ctx.writes:
             version.prev.sstamp = pi
             version.pstamp = cstamp

@@ -12,7 +12,7 @@ from mvcert import (
     TransactionAborted, build_graph, check_trace, find_violations,
     replay_scripted,
 )
-from mvcert.kernel import Status, TableMode, is_locked, is_tid, word_value
+from mvcert.kernel import Status, TableMode, is_tid, word_value
 from mvcert.store import Store
 from mvcert.trace import TraceLog
 
@@ -181,6 +181,24 @@ class TestSafeRetry:
         assert check_trace(engine.trace.merged()).clean
 
 
+class _ClockThatCommitsInItsDraw:
+    """Delegates to a clock; its next draw runs commit between drawing the
+    stamp and returning it."""
+
+    def __init__(self, clock, commit):
+        self._clock, self.commit = clock, commit
+
+    def __getattr__(self, name):
+        return getattr(self._clock, name)
+
+    def next(self):
+        stamp = self._clock.next()
+        commit, self.commit = self.commit, None
+        if commit is not None:
+            commit()
+        return stamp
+
+
 class TestSafeSnapshots:
     def test_writer_with_back_edge_over_pre_snapshot_version_aborts(self):
         engine = Engine(4, SI, SSN)
@@ -200,6 +218,45 @@ class TestSafeSnapshots:
             engine.commit(writer)
         assert failure.value.reason == "safe_snapshot"
         assert snap == 3
+
+    def test_no_commit_draws_between_the_snapshot_draw_and_its_publish(self):
+        # U reads x, Y overwrites x and commits, U writes v; U then commits
+        # as soon after the snapshot's draw as the clock lets it.  A query
+        # on the snapshot reads v before U and x after Y, so U must see the
+        # snapshot, or Q -rw-> U -rw-> Y -wr-> Q commits.
+        engine = Engine(4, SI, SSN, trace=TraceLog())
+        x, v = 0, 1
+        setup = engine.begin(0)
+        engine.write(setup, x)
+        engine.write(setup, v)
+        engine.commit(setup)                          # stamp 1
+        updater = engine.begin(0)
+        engine.read(updater, x)
+        overwriter = engine.begin(1)
+        engine.write(overwriter, x)
+        engine.commit(overwriter)                     # stamp 2
+        engine.write(updater, v)
+        outcome = []
+
+        def commit_updater():
+            try:
+                outcome.append(engine.commit(updater))
+            except TransactionAborted as failure:
+                outcome.append(failure.reason)
+
+        clock = _ClockThatCommitsInItsDraw(engine.clock, commit_updater)
+        engine.clock = engine.cert.clock = clock
+        snap = engine.take_safe_snapshot()            # stamp 3
+        if clock.commit is not None:
+            # The snapshot's draw and publish were one step: U follows it.
+            clock.commit = None
+            commit_updater()
+        assert outcome == ["safe_snapshot"]
+        query = engine.begin(1, read_only=True)
+        engine.read(query, v)
+        engine.read(query, x)
+        assert engine.commit(query) == snap == 3
+        assert check_trace(engine.trace.merged()).clean
 
     def test_writer_without_back_edge_commits_despite_snapshot(self):
         engine = Engine(4, SI, SSN)
@@ -341,7 +398,7 @@ class TestReadMostly:
         with pytest.raises(TransactionAborted) as failure:
             engine.commit(updater)
         assert failure.value.reason == "ssn_exclusion"
-        assert is_locked(reader.sstamp)
+        assert reader.sealed
         assert word_value(reader.sstamp) == INFINITY
 
     @pytest.mark.parametrize("serial", [True, False])

@@ -10,9 +10,9 @@ import pytest
 import mvcert
 from mvcert import kernel
 from mvcert.kernel import (
-    INFINITY, LOCK_BIT, PENDING, TID_TAG, VALUE_MASK, AtomicCell, GlobalClock,
+    INFINITY, PENDING, TID_TAG, VALUE_MASK, AtomicCell, GlobalClock,
     IllegalTransition, Scheme, Status, TransactionContext, TransactionTable,
-    UsageError, is_locked, is_tid, settle, spin_until,
+    UsageError, is_tid, settle, spin_until,
     transition_status, word_value,
 )
 from mvcert.bench import ClientGroup, WorkloadConfig, run_bench
@@ -25,19 +25,11 @@ from mvcert.trace import TraceLog
 class TestStampWords:
     def test_timestamp_words_are_plain_values(self):
         assert not is_tid(41)
-        assert not is_locked(41)
 
     def test_tid_words_carry_the_tag(self):
         word = TID_TAG | 129
         assert is_tid(word)
         assert word_value(word) == 129
-        assert not is_locked(word)
-
-    def test_lock_bit_is_independent(self):
-        word = 7 | LOCK_BIT
-        assert is_locked(word)
-        assert word_value(word) == 7
-        assert not is_tid(word)
 
     def test_infinity_is_the_largest_timestamp(self):
         assert INFINITY == VALUE_MASK
@@ -46,7 +38,6 @@ class TestStampWords:
 
     def test_tag_and_lock_bits_do_not_collide_with_values(self):
         assert TID_TAG > VALUE_MASK
-        assert LOCK_BIT > TID_TAG
 
 
 class TestAtomicCell:
@@ -206,7 +197,7 @@ def _ssi_ctx():
 
 
 def _ctx_words(ctx):
-    return ctx.status, ctx.cstamp, ctx.sstamp
+    return ctx.status, ctx.cstamp, ctx.sstamp, ctx.sealed
 
 
 def _head_words(store):
@@ -263,8 +254,8 @@ READ_MODIFY_WRITES = {
         _read_mostly_ctx, lambda c: c.fold_sstamp(5), _ctx_words),
     "TransactionContext.seal_sstamp": (
         _ctx, lambda c: c.seal_sstamp(), _ctx_words),
-    "TransactionContext.swap_sstamp": (
-        _ctx, lambda c: c.swap_sstamp(INFINITY, 5), _ctx_words),
+    "TransactionContext.push_sstamp": (
+        _ctx, lambda c: c.push_sstamp(5), _ctx_words),
     # Peers raise the SSI inbound flag, and the owner the decided flag.
     "TransactionContext.set_ssi_flags": (
         _ssi_ctx, lambda c: c.set_ssi_flags(1), lambda c: c.ssi_flags),
@@ -340,6 +331,34 @@ class TestLockDiscipline:
         assert ctx.fold_sstamp(5) == 5
         assert ctx.fold_sstamp(9) == 5
         assert ctx.sstamp == 5 and lock.seen == []
+
+    # push_sstamp(5), the handshake, from each state: (sealed, sstamp
+    # before, answer, sstamp after, holds of the lock).
+    @pytest.mark.parametrize("sealed, start, answer, end, holds", [
+        (False, 9, True, 5, 1),
+        (False, 5, True, 5, 0),
+        (False, 3, True, 3, 0),
+        (True, 9, False, 9, 0),
+        (True, 5, True, 5, 0),
+        (True, 3, True, 3, 0),
+    ])
+    def test_a_push_holds_the_lock_only_to_lower(
+            self, monkeypatch, sealed, start, answer, end, holds):
+        ctx = _read_mostly_ctx()
+        ctx.sstamp, ctx.sealed = start, sealed
+        lock = _replace_shared_lock(monkeypatch, lambda: _ctx_words(ctx))
+        assert ctx.push_sstamp(5) is answer
+        assert ctx.sstamp == end and ctx.sealed is sealed
+        assert len(lock.seen) == 2 * holds
+
+    def test_a_snapshot_is_published_in_the_hold_that_draws_it(
+            self, monkeypatch):
+        clock = GlobalClock()
+        clock.next()
+        lock = _replace_shared_lock(
+            monkeypatch, lambda: (clock.current(), clock.snapshot))
+        assert clock.draw_snapshot() == 2
+        assert lock.seen == [(1, 0), (2, 2)]
 
     def test_an_owner_moves_its_status_without_the_lock(self, monkeypatch):
         # Only the owner writes its status, so each move is a plain store.

@@ -683,6 +683,11 @@ class TestScripts:
         with pytest.raises(UsageError):
             parse_script("T1 read\n")
 
+    @pytest.mark.parametrize("op", ["commit", "abort"])
+    def test_commit_and_abort_take_no_key(self, op):
+        with pytest.raises(UsageError, match="line 2: %s takes no key" % op):
+            parse_script("T1 read x\nT1 %s x\n" % op)
+
     def test_empty_script_runs_to_empty_outcomes(self):
         result = replay_scripted("", SI, SSN)
         assert result.outcomes == {}
